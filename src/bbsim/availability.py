@@ -178,14 +178,6 @@ class AvailabilityProfile:
                 candidate = max(candidate, seg_end)
         return candidate
 
-    def dump_csv(self) -> str:
-        """Debug dump of breakpoints with free capacities (for tests)."""
-        lines = ["time,free_procs,free_bb"]
-        for t in self._times:
-            fp, fb = self.free_at(t)
-            lines.append(f"{t},{fp},{fb}")
-        return "\n".join(lines) + "\n"
-
 
 def allocate_bb(pools: dict[int, int], bb_bytes: int) -> dict[int, int]:
     """Split an aggregate burst-buffer request across storage-node free pools.

@@ -28,11 +28,10 @@ from .metrics import (
 from .planner import AnnealConfig
 from .platform import LogNormalModel, PlatformConfig, build_platform
 from .workload import (
-    PART_SECONDS,
-    N_PARTS,
     SwfParseError,
     assign_phases,
     parse_swf,
+    part_index,
     read_workload,
     synthesize_bb,
     write_workload,
@@ -118,7 +117,6 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> 
             r=config["sa_r"],
             n_cooling=config["sa_n"],
             m_steps=config["sa_m"],
-            seed=config["seed"],
         )
     sim = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg)
     records = sim.run()
@@ -181,10 +179,6 @@ def cmd_simulate(args) -> int:
 METRICS = {"waiting_time": waiting_time, "bounded_slowdown": bounded_slowdown}
 
 
-def _part_of(rec: JobRecord) -> int:
-    return min(rec.submit // PART_SECONDS, N_PARTS - 1)
-
-
 def cmd_analyze(args) -> int:
     records: list[JobRecord] = []
     for path in args.records:
@@ -196,8 +190,10 @@ def cmd_analyze(args) -> int:
 
     groups: dict[tuple[str, int | None], list[JobRecord]] = {}
     for r in records:
-        key = (r.policy, _part_of(r) if args.split else None)
-        groups.setdefault(key, []).append(r)
+        part = part_index(r.submit) if args.split else None
+        if args.split and part is None:
+            continue  # past the last three-week part
+        groups.setdefault((r.policy, part), []).append(r)
 
     os.makedirs(args.outdir, exist_ok=True)
     summary_path = os.path.join(args.outdir, "summary.csv")

@@ -37,9 +37,6 @@ WALLTIME_EXPIRED = 3
 JOB_SUBMITTED = 4
 SCHEDULER_TICK = 5
 
-PFS_ROUTES = ("pfs_to_bb", "bb_to_pfs")
-
-
 @dataclass
 class SimConfig:
     tick_period_s: int = 60
@@ -55,46 +52,37 @@ class SimConfig:
             raise ValueError("tick period must be positive")
 
 
-@dataclass
-class Transfer:
-    id: int
-    job_id: int
-    route: str  # pfs_to_bb | bb_to_pfs | compute_to_bb
-    total: int
-    delivered: Fraction = Fraction(0)
-
-
 class FairShareLink:
-    """Single shared link with equal bandwidth split among active transfers."""
+    """Single shared link with equal bandwidth split among active transfers.
+
+    Transfers are keyed by the caller; the engine uses (job id, role) with
+    role "in" (stage-in), "drain" (checkpoint drain) or "out" (stage-out).
+    """
 
     def __init__(self, bandwidth: int):
         self.bw = bandwidth
-        self.active: dict[int, Fraction] = {}  # transfer id -> remaining bytes
-        self.last = Fraction(0)
-        self.version = 0
+        self.active: dict = {}  # key -> remaining bytes (Fraction)
+        self.last = 0
+        self.version = 0  # bumped whenever the set of active transfers changes
 
     def advance(self, now) -> None:
-        now = Fraction(now)
-        dt = now - self.last
-        if self.active and dt > 0:
-            rate = Fraction(self.bw, len(self.active))
-            for tid in self.active:
-                self.active[tid] -= rate * dt
-        self.last = max(self.last, now)
+        assert now >= self.last, "link time must not move backwards"
+        if self.active and now > self.last:
+            share = Fraction(self.bw, len(self.active)) * (now - self.last)
+            for key in self.active:
+                self.active[key] -= share
+        self.last = now
 
-    def add(self, now, tid: int, total: int) -> None:
+    def add(self, now, key, total: int) -> None:
         self.advance(now)
-        self.active[tid] = Fraction(total)
+        self.active[key] = Fraction(total)
         self.version += 1
 
-    def remove(self, now, tid) -> Fraction:
+    def remove(self, now, key) -> Fraction:
         self.advance(now)
-        remaining = self.active.pop(tid)
+        remaining = self.active.pop(key)
         self.version += 1
         return remaining
-
-    def rate(self) -> Fraction:
-        return Fraction(self.bw, len(self.active)) if self.active else Fraction(0)
 
     def next_completion(self):
         if not self.active:
@@ -102,8 +90,16 @@ class FairShareLink:
         rate = Fraction(self.bw, len(self.active))
         return self.last + min(self.active.values()) / rate
 
-    def finished_ids(self) -> list[int]:
-        return sorted(tid for tid, rem in self.active.items() if rem <= 0)
+    def finished_ids(self, now) -> list:
+        """Advance to now and pop every finished transfer, in start order."""
+        self.advance(now)
+        finished = [key for key, rem in self.active.items() if rem <= 0]
+        for key in finished:
+            remaining = self.active.pop(key)
+            assert remaining == 0, "transfer completion must be byte-exact"
+        if finished:
+            self.version += 1
+        return finished
 
 
 @dataclass
@@ -114,11 +110,8 @@ class RunningJob:
     bb_shares: dict[int, int]
     start: int
     phase: int = 0  # current compute phase (1-based); 0 while staging in
-    drains_pending: deque = field(default_factory=deque)
-    drain_active: int | None = None  # transfer id
-    stage_out_tid: int | None = None
+    drains_pending: deque = field(default_factory=deque)  # FIFO behind the active drain
     compute_done: bool = False
-    stage_out_done: bool = False
 
 
 class Simulation:
@@ -144,7 +137,11 @@ class Simulation:
             self.policy_cfg = PolicyConfig.from_name(policy)
         self.rng = random.Random(self.cfg.seed)
 
+        seen: set[int] = set()
         for job in self.jobs:
+            if job.id in seen:
+                raise ValueError(f"duplicate job id {job.id}")
+            seen.add(job.id)
             if job.n_procs > platform.n_procs or job.bb_total > platform.total_bb:
                 raise InfeasibleError(
                     f"job {job.id} exceeds platform capacity "
@@ -157,8 +154,6 @@ class Simulation:
         self.free_compute = set(platform.compute_nodes)
         self.bb_free = dict(platform.bb_capacity_per_node)
         self.link = FairShareLink(platform.pfs_link_bw)
-        self.transfers: dict[int, Transfer] = {}
-        self._tid = 0
         self.records: list[JobRecord] = []
         self.trace: list[dict] = []
         self.head_reservations: list[tuple[int, object]] = []  # (tick time, HeadReservation)
@@ -171,7 +166,7 @@ class Simulation:
     # -- event machinery -----------------------------------------------------
 
     def _push(self, time, kind: int, payload=None) -> None:
-        heapq.heappush(self._heap, (Fraction(time), kind, self._seq, payload))
+        heapq.heappush(self._heap, (time, kind, self._seq, payload))
         self._seq += 1
 
     def _schedule_tick(self, at: int) -> None:
@@ -191,8 +186,6 @@ class Simulation:
             self._schedule_tick(0)
         while self._heap:
             now, kind, _, payload = heapq.heappop(self._heap)
-            if kind != TRANSFER_COMPLETE and now == int(now):
-                now = int(now)
             self._dispatch(now, kind, payload)
             if self.cfg.validate:
                 self._check_invariants(now)
@@ -206,10 +199,10 @@ class Simulation:
             self.queue.append(payload)
             self._trace(now, "submit", job=payload.id)
             tick = self.cfg.tick_period_s
-            self._schedule_tick(-(-int(now) // tick) * tick)
+            self._schedule_tick(-(-now // tick) * tick)
         elif kind == SCHEDULER_TICK:
             self._tick_at = None
-            self._on_tick(int(now))
+            self._on_tick(now)
         elif kind == JOB_FINISHED:
             if payload in self.running:
                 self._finish(self.running[payload], now, killed=False)
@@ -222,15 +215,14 @@ class Simulation:
             if rj is not None and rj.phase == phase and not rj.compute_done:
                 self._on_phase_complete(rj, now)
         elif kind == TRANSFER_COMPLETE:
-            tag = payload[0]
+            tag, value = payload
             if tag == "pfs":
-                if payload[1] == self.link.version:
+                if value == self.link.version:
                     self._on_pfs_completions(now)
-            else:  # checkpoint transfer, uncontended
-                _, job_id, phase, tid = payload
-                rj = self.running.get(job_id)
-                if rj is not None and tid in self.transfers:
-                    self._on_checkpoint_complete(rj, now, tid)
+            else:  # checkpoint dump, uncontended; None if the job was killed
+                rj = self.running.get(value)
+                if rj is not None:
+                    self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
         else:
             raise AssertionError(f"unknown event kind {kind}")
 
@@ -274,7 +266,7 @@ class Simulation:
             return
         self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
         if rj.plan.stage_in_bytes > 0:
-            self._start_pfs_transfer(now, job.id, "pfs_to_bb", rj.plan.stage_in_bytes)
+            self._start_pfs_transfer(now, (job.id, "in"), rj.plan.stage_in_bytes)
         else:
             self._start_phase(rj, now, 1)
 
@@ -290,42 +282,33 @@ class Simulation:
             # checkpoint: compute suspended until the dump to BB completes
             bytes_ = rj.plan.checkpoint_bytes
             if bytes_ > 0:
-                tid = self._new_transfer(rj.job.id, "compute_to_bb", bytes_)
                 done = now + Fraction(bytes_, self.platform.compute_link_bw)
-                self._push(done, TRANSFER_COMPLETE, ("ckpt", rj.job.id, rj.phase, tid))
+                self._push(done, TRANSFER_COMPLETE, ("ckpt", rj.job.id))
             else:
                 self._after_checkpoint(rj, now, 0)
         else:
             rj.compute_done = True
             bytes_ = rj.plan.stage_out_bytes
             if bytes_ > 0:
-                rj.stage_out_tid = self._start_pfs_transfer(
-                    now, rj.job.id, "bb_to_pfs", bytes_
-                )
+                self._start_pfs_transfer(now, (rj.job.id, "out"), bytes_)
             else:
-                rj.stage_out_done = True
                 self._maybe_finish(rj, now)
-
-    def _on_checkpoint_complete(self, rj: RunningJob, now, tid: int) -> None:
-        del self.transfers[tid]
-        self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
 
     def _after_checkpoint(self, rj: RunningJob, now, drain_bytes: int) -> None:
         # drain to PFS asynchronously; next compute phase starts concurrently
         if drain_bytes > 0:
-            if rj.drain_active is None:
-                rj.drain_active = self._start_pfs_transfer(
-                    now, rj.job.id, "bb_to_pfs", drain_bytes
-                )
+            if (rj.job.id, "drain") in self.link.active:
+                rj.drains_pending.append(drain_bytes)
             else:
-                rj.drains_pending.append(drain_bytes)  # FIFO per job
+                self._start_pfs_transfer(now, (rj.job.id, "drain"), drain_bytes)
         self._start_phase(rj, now, rj.phase + 1)
 
     def _maybe_finish(self, rj: RunningJob, now) -> None:
+        job_id = rj.job.id
         if (
             rj.compute_done
-            and rj.stage_out_done
-            and rj.drain_active is None
+            and (job_id, "out") not in self.link.active
+            and (job_id, "drain") not in self.link.active
             and not rj.drains_pending
         ):
             self._finish(rj, now, killed=False)
@@ -352,26 +335,18 @@ class Simulation:
         self._trace(now, "kill" if killed else "finish", job=job.id)
 
     def _kill(self, rj: RunningJob, now) -> None:
-        for tid in [t for t, tr in self.transfers.items() if tr.job_id == rj.job.id]:
-            if tid in self.link.active:
-                self.link.remove(now, tid)
-            del self.transfers[tid]
-        self._schedule_next_pfs_completion()
+        live = [key for key in self.link.active if key[0] == rj.job.id]
+        for key in live:
+            self.link.remove(now, key)
+        if live:
+            self._schedule_next_pfs_completion()
         self._finish(rj, now, killed=True)
 
     # -- transfers ---------------------------------------------------------------
 
-    def _new_transfer(self, job_id: int, route: str, total: int) -> int:
-        self._tid += 1
-        self.transfers[self._tid] = Transfer(self._tid, job_id, route, total)
-        return self._tid
-
-    def _start_pfs_transfer(self, now, job_id: int, route: str, total: int) -> int:
-        assert route in PFS_ROUTES
-        tid = self._new_transfer(job_id, route, total)
-        self.link.add(now, tid, total)
+    def _start_pfs_transfer(self, now, key: tuple[int, str], total: int) -> None:
+        self.link.add(now, key, total)
         self._schedule_next_pfs_completion()
-        return tid
 
     def _schedule_next_pfs_completion(self) -> None:
         at = self.link.next_completion()
@@ -379,30 +354,18 @@ class Simulation:
             self._push(at, TRANSFER_COMPLETE, ("pfs", self.link.version))
 
     def _on_pfs_completions(self, now) -> None:
-        self.link.advance(now)
-        finished = self.link.finished_ids()
-        for tid in finished:
-            remaining = self.link.active.pop(tid)
-            assert remaining == 0, "transfer completion must be byte-exact"
-            transfer = self.transfers.pop(tid)
-            transfer.delivered = Fraction(transfer.total)
-            rj = self.running.get(transfer.job_id)
+        finished = self.link.finished_ids(now)
+        for job_id, role in finished:
+            rj = self.running.get(job_id)
             if rj is None:
                 continue
-            if transfer.route == "pfs_to_bb":
+            if role == "in":
                 self._start_phase(rj, now, 1)
-            elif tid == rj.stage_out_tid:
-                rj.stage_out_done = True
-                self._maybe_finish(rj, now)
-            else:  # checkpoint drain
-                rj.drain_active = None
-                if rj.drains_pending:
-                    rj.drain_active = self._start_pfs_transfer(
-                        now, rj.job.id, "bb_to_pfs", rj.drains_pending.popleft()
-                    )
-                self._maybe_finish(rj, now)
+                continue
+            if role == "drain" and rj.drains_pending:  # completion scheduled below
+                self.link.add(now, (job_id, "drain"), rj.drains_pending.popleft())
+            self._maybe_finish(rj, now)
         if finished:
-            self.link.version += 1
             self._schedule_next_pfs_completion()
 
     # -- invariants ----------------------------------------------------------------
@@ -436,20 +399,14 @@ def simulate_transfers(starts: list[tuple[int, int]], bandwidth: int) -> list[Fr
     exact finish time per input transfer, in input order.
     """
     link = FairShareLink(bandwidth)
-    events = sorted((t, i) for i, (t, _) in enumerate(starts))
+    pending = deque(sorted((t, i) for i, (t, _) in enumerate(starts)))
     finishes: dict[int, Fraction] = {}
-    pending = deque(events)
     while pending or link.active:
-        next_start = pending[0][0] if pending else None
         next_done = link.next_completion()
-        if next_done is None or (next_start is not None and next_start <= next_done):
+        if next_done is None or (pending and pending[0][0] <= next_done):
             t, i = pending.popleft()
             link.add(t, i, starts[i][1])
         else:
-            link.advance(next_done)
-            for tid in link.finished_ids():
-                rem = link.active.pop(tid)
-                assert rem == 0
-                finishes[tid] = next_done
-            link.version += 1
+            for i in link.finished_ids(next_done):
+                finishes[i] = next_done
     return [finishes[i] for i in range(len(starts))]

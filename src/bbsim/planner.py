@@ -22,7 +22,6 @@ class AnnealConfig:
     n_cooling: int = 30
     m_steps: int = 6  # constant-temperature steps
     exhaustive_threshold: int = 5
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 < self.r < 1:

@@ -96,13 +96,12 @@ def fcfs_pass(state: SchedulerState) -> list[JobSpec]:
 def backfill_pass(state: SchedulerState, candidates: list[JobSpec]) -> list[JobSpec]:
     """Launch every candidate that fits now without touching any reservation.
 
-    Feasibility over the job's whole walltime window means an allocation can
-    never overlap a future reservation already in the profile.
+    Candidates must be queued jobs, each listed once. Feasibility over the
+    job's whole walltime window means an allocation can never overlap a
+    future reservation already in the profile.
     """
     launched = []
     for job in candidates:
-        if job not in state.queue:
-            continue
         if _fits_now(state, job):
             _launch(state, job)
             launched.append(job)

@@ -160,6 +160,12 @@ def assign_phases(jobs: list[JobSpec], seed: int) -> list[JobSpec]:
     return [replace(j, n_phases=generate_phases(j, seed).n_phases) for j in jobs]
 
 
+def part_index(submit_time: int) -> int | None:
+    """Three-week part of a submit time, or None past the last part."""
+    idx = submit_time // PART_SECONDS
+    return idx if idx < N_PARTS else None
+
+
 def split_parts(jobs: list[JobSpec]) -> list[WorkloadPart]:
     """Split into 16 non-overlapping three-week parts; re-base submit times.
 
@@ -167,8 +173,8 @@ def split_parts(jobs: list[JobSpec]) -> list[WorkloadPart]:
     """
     parts: list[list[JobSpec]] = [[] for _ in range(N_PARTS)]
     for job in jobs:
-        idx = job.submit_time // PART_SECONDS
-        if idx >= N_PARTS:
+        idx = part_index(job.submit_time)
+        if idx is None:
             continue
         parts[idx].append(
             replace(job, submit_time=job.submit_time - idx * PART_SECONDS)
@@ -204,9 +210,25 @@ def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
     if not header_line.strip():
         raise ValueError("empty workload file")
     header = json.loads(header_line)
-    if header.get("format") != WORKLOAD_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != WORKLOAD_FORMAT:
         raise ValueError(f"not a {WORKLOAD_FORMAT} file")
-    jobs = [JobSpec(**json.loads(line)) for line in stream if line.strip()]
+    if header.get("version") != WORKLOAD_VERSION:
+        raise ValueError(
+            f"unsupported {WORKLOAD_FORMAT} version {header.get('version')!r}"
+            f" (expected {WORKLOAD_VERSION})"
+        )
+    jobs = []
+    for line_no, line in enumerate(stream, start=2):
+        if not line.strip():
+            continue
+        try:
+            fields = json.loads(line)
+            unknown = sorted(set(fields) - set(_JOB_FIELDS))
+            if unknown:
+                raise ValueError(f"line {line_no}: unknown job field(s) {', '.join(unknown)}")
+            jobs.append(JobSpec(**fields))
+        except TypeError as exc:  # missing fields, or a line that is not an object
+            raise ValueError(f"line {line_no}: {exc}") from exc
     return jobs, header
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from bbsim.cli import main
 from bbsim.metrics import read_records
-from bbsim.workload import read_workload, write_workload
+from bbsim.workload import PART_SECONDS, read_workload, write_workload
 
 from conftest import TABLE1, table1_job
 
@@ -144,6 +144,62 @@ def test_simulate_oversized_job_is_input_error(tmp_path, table1_config, capsys):
                  str(table1_config), "-o", str(tmp_path / "out.csv"),
                  "--manifest", str(tmp_path / "m.json")]) == 1
     assert "exceed" in capsys.readouterr().err
+
+
+def write_raw_workload(path, header, job_lines):
+    lines = [json.dumps(header)] + [json.dumps(job) for job in job_lines]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def simulate_exit_code(tmp_path, workload, config):
+    return main(["simulate", "--workload", str(workload), "--config", str(config),
+                 "-o", str(tmp_path / "out.csv"), "--manifest", str(tmp_path / "m.json")])
+
+
+JOB = {"id": 1, "submit_time": 0, "runtime": 5, "walltime": 5, "n_procs": 1}
+
+
+def test_simulate_unknown_job_field_is_input_error(tmp_path, table1_config, capsys):
+    workload = write_raw_workload(tmp_path / "w.jsonl",
+                                  {"format": "bbsim-workload", "version": 1},
+                                  [dict(JOB, colour="red")])
+    assert simulate_exit_code(tmp_path, workload, table1_config) == 1
+    assert "colour" in capsys.readouterr().err
+
+
+def test_simulate_wrong_workload_version_is_input_error(tmp_path, table1_config, capsys):
+    workload = write_raw_workload(tmp_path / "w.jsonl",
+                                  {"format": "bbsim-workload", "version": 99}, [JOB])
+    assert simulate_exit_code(tmp_path, workload, table1_config) == 1
+    assert "version 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second_submit", [0, 500])
+def test_simulate_duplicate_job_ids_is_input_error(tmp_path, table1_config, capsys,
+                                                   second_submit):
+    # overlapping duplicates used to fail mid-run; disjoint ones gave two records
+    workload = write_raw_workload(tmp_path / "w.jsonl",
+                                  {"format": "bbsim-workload", "version": 1},
+                                  [JOB, dict(JOB, submit_time=second_submit)])
+    assert simulate_exit_code(tmp_path, workload, table1_config) == 1
+    assert "duplicate job id 1" in capsys.readouterr().err
+
+
+def test_analyze_split_drops_records_past_the_last_part(tmp_path):
+    # the second record is submitted in part 17, past the sixteen parts
+    records = tmp_path / "r.csv"
+    records.write_text(
+        "# bbsim-records v1\n"
+        "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+        "1,0,0,10,1,0,0,fcfs\n"
+        f"2,{17 * PART_SECONDS},{17 * PART_SECONDS},{17 * PART_SECONDS + 10},1,0,0,fcfs\n"
+    )
+    outdir = tmp_path / "analysis"
+    assert main(["analyze", str(records), "--split", "-o", str(outdir)]) == 0
+    rows = (outdir / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:4] for row in rows] == [
+        ["fcfs", "0", "waiting_time", "1"], ["fcfs", "0", "bounded_slowdown", "1"]]
 
 
 def test_analyze_outputs(tmp_path, table1_workload, table1_config):

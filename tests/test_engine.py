@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bbsim.engine import SimConfig, Simulation, run, simulate_transfers
+from bbsim.engine import FairShareLink, SimConfig, Simulation, run, simulate_transfers
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload
 
@@ -126,6 +126,45 @@ def test_kill_releases_resources():
     assert starts(records) == {1: 0, 2: 60}
 
 
+def test_kill_mid_checkpoint_ignores_the_dump():
+    # pfs link 100 B/s, compute link 50 B/s. Job 1 and job 2 stage in 1000 B
+    # each over [0,20) at half the link. Job 1 computes [20,50) and dumps its
+    # checkpoint over [50,70); its walltime ends at 60, mid-dump. Job 2
+    # computes [20,65) and stages out 1000 B alone from 65: done at 75. Had
+    # the dump completed at 70 and started a drain, job 2 would share the
+    # link from 70 and finish at 80.
+    jobs = [
+        one_job(runtime=60, walltime=60, bb=1000, phases=2),
+        JobSpec(id=2, submit_time=0, runtime=45, walltime=1000, n_procs=1,
+                bb_total_bytes=1000),
+    ]
+    records = run(small_platform(pfs_bw=100, compute_bw=50), jobs, "fcfs",
+                  SimConfig(validate=True))
+    assert [(r.job_id, r.finish, r.killed) for r in records] == [
+        (1, 60, True), (2, 75, False)]
+
+
+def test_kill_mid_drain_frees_the_link():
+    # pfs link 100 B/s, compute link 1000 B/s. Both jobs stage in over
+    # [0,20). Job 1 computes [20,50), dumps [50,51) and drains 1000 B from
+    # 51, alone until 55 (600 B left). Job 2 computes [20,55) and stages out
+    # from 55; the two share 50 B/s each until job 1's walltime ends at 60
+    # (drain 350 B left, stage-out 750 B left). With the drain gone, job 2
+    # finishes at 60 + 750/100 = 67.5; had the drain stayed on the link,
+    # job 2 would finish at 71.
+    jobs = [
+        one_job(runtime=60, walltime=60, bb=1000, phases=2),
+        JobSpec(id=2, submit_time=0, runtime=35, walltime=1000, n_procs=1,
+                bb_total_bytes=1000),
+    ]
+    sim = Simulation(small_platform(pfs_bw=100, compute_bw=1000), jobs, "fcfs",
+                     SimConfig(validate=True))
+    records = sim.run()
+    assert [(r.job_id, r.finish, r.killed) for r in records] == [
+        (1, 60, True), (2, Fraction(135, 2), False)]
+    assert not sim.link.active
+
+
 TABLE1_EASY_STARTS = {1: 0, 2: 0, 6: 180, 3: 600, 7: 600}
 TABLE1_BB_STARTS = {1: 0, 2: 0, 4: 120, 3: 600}
 
@@ -230,3 +269,10 @@ def test_transfer_conservation_random():
         assert span >= Fraction(total_bytes, bw)
         for (t0, _), f in zip(xs, finishes):
             assert f > t0
+
+
+def test_link_time_cannot_move_backwards():
+    link = FairShareLink(10)
+    link.add(10, "a", 100)
+    with pytest.raises(AssertionError):
+        link.advance(5)

@@ -176,3 +176,29 @@ def test_workload_file_round_trip(tmp_path):
         loaded, header = read_workload(f)
     assert loaded == jobs
     assert header["seed"] == 5
+
+
+def test_read_workload_rejects_unknown_job_field():
+    text = (
+        '{"format": "bbsim-workload", "version": 1}\n'
+        '{"id": 1, "submit_time": 0, "runtime": 5, "walltime": 5, "n_procs": 1, "colour": "red"}\n'
+    )
+    with pytest.raises(ValueError, match="line 2: unknown job field.*colour"):
+        read_workload(io.StringIO(text))
+
+
+def test_read_workload_rejects_missing_job_field():
+    text = '{"format": "bbsim-workload", "version": 1}\n{"id": 1, "submit_time": 0}\n'
+    with pytest.raises(ValueError, match="line 2: .*runtime"):
+        read_workload(io.StringIO(text))
+
+
+def test_read_workload_rejects_header_that_is_not_an_object():
+    with pytest.raises(ValueError, match="not a bbsim-workload file"):
+        read_workload(io.StringIO("[1]\n"))
+
+
+def test_read_workload_rejects_other_version():
+    text = '{"format": "bbsim-workload", "version": 99}\n'
+    with pytest.raises(ValueError, match="version 99"):
+        read_workload(io.StringIO(text))

@@ -31,15 +31,12 @@ class Reservation:
     end: int
     n_procs: int
     bb_bytes: int
-    kind: str = "future"  # "running" or "future"
 
     def __post_init__(self):
         if self.start >= self.end:
             raise ValueError(f"reservation interval empty: [{self.start}, {self.end})")
         if self.n_procs < 0 or self.bb_bytes < 0:
             raise ValueError("negative resource demand")
-        if self.kind not in ("running", "future"):
-            raise ValueError(f"unknown reservation kind: {self.kind}")
 
 
 class AvailabilityProfile:
@@ -72,9 +69,6 @@ class AvailabilityProfile:
 
     def reservations(self) -> list[Reservation]:
         return list(self._res.values())
-
-    def get(self, job_id: int) -> Reservation | None:
-        return self._res.get(job_id)
 
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._res
@@ -110,13 +104,6 @@ class AvailabilityProfile:
         self._apply(r.start, -r.n_procs, -r.bb_bytes)
         self._apply(r.end, r.n_procs, r.bb_bytes)
         return r
-
-    def remove_kind(self, kind: str) -> list[Reservation]:
-        """Remove all reservations of the given kind; returns them."""
-        doomed = [r for r in self._res.values() if r.kind == kind]
-        for r in doomed:
-            self.remove(r.job_id)
-        return doomed
 
     # -- queries -----------------------------------------------------------
 

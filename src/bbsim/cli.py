@@ -17,6 +17,7 @@ from .availability import InfeasibleError
 from .engine import SimConfig, Simulation
 from .metrics import (
     DEFAULT_TAIL_K,
+    LETTER_VALUE_LEVELS,
     JobRecord,
     bounded_slowdown,
     read_records,
@@ -27,6 +28,7 @@ from .metrics import (
 )
 from .planner import AnnealConfig
 from .platform import LogNormalModel, PlatformConfig, build_platform
+from .policies import POLICY_NAMES
 from .workload import (
     SwfParseError,
     assign_phases,
@@ -86,24 +88,27 @@ def cmd_convert(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
-def _platform_from_config(cfg: dict) -> PlatformConfig:
-    cfg = dict(cfg)
-    if "bb_request_model" in cfg:
-        cfg["bb_request_model"] = LogNormalModel(**cfg["bb_request_model"])
-    return PlatformConfig(**cfg)
+def _from_json(cls, values, where: str):
+    """cls(**values), with unknown or missing keys reported as an InputError."""
+    if not isinstance(values, dict):
+        raise InputError(f"{where} must be a JSON object")
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise InputError(f"{where}: {exc}") from exc
+
+
+def _platform_from_config(cfg) -> PlatformConfig:
+    if isinstance(cfg, dict) and "bb_request_model" in cfg:
+        model = _from_json(LogNormalModel, cfg["bb_request_model"], "bb_request_model")
+        cfg = {**cfg, "bb_request_model": model}
+    return _from_json(PlatformConfig, cfg, "platform config")
 
 
 def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> None:
     platform = build_platform(_platform_from_config(config["platform"]))
     with open(config["workload"]) as f:
         jobs, _ = read_workload(f)
-    bad = [
-        j.id
-        for j in jobs
-        if j.n_procs > platform.n_procs or j.bb_total > platform.total_bb
-    ]
-    if bad:
-        raise InputError(f"jobs exceed platform capacity: {bad[:20]}")
     sim_cfg = SimConfig(
         tick_period_s=config["tick_period_s"],
         io_model=config["io_model"],
@@ -132,6 +137,10 @@ def cmd_simulate(args) -> int:
     if args.from_manifest:
         with open(args.from_manifest) as f:
             manifest = json.load(f)
+        if not isinstance(manifest, dict) or not {"config", "workload_sha256"} <= manifest.keys():
+            raise InputError(
+                f"{args.from_manifest}: a manifest needs 'config' and 'workload_sha256'"
+            )
         config = manifest["config"]
         if _sha256(config["workload"]) != manifest["workload_sha256"]:
             raise InputError("workload file changed since the manifest was written")
@@ -144,6 +153,8 @@ def cmd_simulate(args) -> int:
     if args.config:
         with open(args.config) as f:
             file_cfg = json.load(f)
+        if not isinstance(file_cfg, dict):
+            raise InputError(f"{args.config} must hold a JSON object")
         platform_cfg = file_cfg.get("platform", {})
     config = {
         "platform": platform_cfg,
@@ -198,7 +209,7 @@ def cmd_analyze(args) -> int:
     os.makedirs(args.outdir, exist_ok=True)
     summary_path = os.path.join(args.outdir, "summary.csv")
     with open(summary_path, "w") as f:
-        level_cols = [f"q{lv:.6f}".rstrip("0").rstrip(".") for lv, _ in summarize(records[:1], waiting_time).quantiles]
+        level_cols = [f"q{lv:.6f}".rstrip("0").rstrip(".") for lv in LETTER_VALUE_LEVELS]
         f.write("policy,part,metric,count,mean,ci95," + ",".join(level_cols) + "\n")
         for (policy, part) in sorted(groups, key=lambda k: (k[0], -1 if k[1] is None else k[1])):
             for metric_name, metric in METRICS.items():
@@ -309,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workload", help="bbsim workload file")
     p.add_argument("--config", help="JSON config file (platform section)")
     p.add_argument("--policy", default="fcfs-bb",
-                   choices=["fcfs", "fcfs-easy", "filler", "fcfs-bb", "sjf-bb", "plan"])
+                   choices=POLICY_NAMES)
     p.add_argument("--alpha", type=float, default=2.0, help="plan policy exponent")
     p.add_argument("--sa-r", type=float, default=0.9, dest="sa_r")
     p.add_argument("--sa-n", type=int, default=30, dest="sa_n")

@@ -18,7 +18,6 @@ from fractions import Fraction
 from .availability import (
     AvailabilityProfile,
     InfeasibleError,
-    Reservation,
     allocate_bb,
     allocate_nodes,
 )
@@ -28,9 +27,9 @@ from .platform import Platform
 from .policies import PolicyConfig, SchedulerState, run_policy
 from .workload import JobSpec, PhasePlan, phase_plan_for
 
-# event kind priorities: at equal timestamps, completions run before the
-# scheduler so freed resources are visible to the same tick
-JOB_FINISHED = 0
+# event priorities: at equal timestamps, completions run before the
+# scheduler so freed resources are visible to the same tick, and a job whose
+# last phase ends exactly at its walltime finishes rather than being killed
 TRANSFER_COMPLETE = 1
 PHASE_COMPLETE = 2
 WALLTIME_EXPIRED = 3
@@ -165,8 +164,8 @@ class Simulation:
 
     # -- event machinery -----------------------------------------------------
 
-    def _push(self, time, kind: int, payload=None) -> None:
-        heapq.heappush(self._heap, (time, kind, self._seq, payload))
+    def _push(self, time, event: int, payload=None) -> None:
+        heapq.heappush(self._heap, (time, event, self._seq, payload))
         self._seq += 1
 
     def _schedule_tick(self, at: int) -> None:
@@ -185,36 +184,33 @@ class Simulation:
         if self.jobs:
             self._schedule_tick(0)
         while self._heap:
-            now, kind, _, payload = heapq.heappop(self._heap)
-            self._dispatch(now, kind, payload)
+            now, event, _, payload = heapq.heappop(self._heap)
+            self._dispatch(now, event, payload)
             if self.cfg.validate:
                 self._check_invariants(now)
         assert not self.queue and not self.running, "simulation ended with live jobs"
         self.records.sort(key=lambda r: r.job_id)
         return self.records
 
-    def _dispatch(self, now, kind: int, payload) -> None:
-        if kind == JOB_SUBMITTED:
+    def _dispatch(self, now, event: int, payload) -> None:
+        if event == JOB_SUBMITTED:
             self._pending_submissions -= 1
             self.queue.append(payload)
             self._trace(now, "submit", job=payload.id)
             tick = self.cfg.tick_period_s
             self._schedule_tick(-(-now // tick) * tick)
-        elif kind == SCHEDULER_TICK:
+        elif event == SCHEDULER_TICK:
             self._tick_at = None
             self._on_tick(now)
-        elif kind == JOB_FINISHED:
-            if payload in self.running:
-                self._finish(self.running[payload], now, killed=False)
-        elif kind == WALLTIME_EXPIRED:
+        elif event == WALLTIME_EXPIRED:
             if payload in self.running:
                 self._kill(self.running[payload], now)
-        elif kind == PHASE_COMPLETE:
+        elif event == PHASE_COMPLETE:
             job_id, phase = payload
             rj = self.running.get(job_id)
             if rj is not None and rj.phase == phase and not rj.compute_done:
                 self._on_phase_complete(rj, now)
-        elif kind == TRANSFER_COMPLETE:
+        elif event == TRANSFER_COMPLETE:
             tag, value = payload
             if tag == "pfs":
                 if value == self.link.version:
@@ -224,12 +220,11 @@ class Simulation:
                 if rj is not None:
                     self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
         else:
-            raise AssertionError(f"unknown event kind {kind}")
+            raise AssertionError(f"unknown event {event}")
 
     # -- scheduling ------------------------------------------------------------
 
     def _on_tick(self, now: int) -> None:
-        self.profile.remove_kind("future")
         state = SchedulerState(self.queue, self.profile, now)
         if self.policy_name == "plan":
             stats = SearchStats()
@@ -251,19 +246,19 @@ class Simulation:
         shares = allocate_bb(self.bb_free, job.bb_total)
         for node, share in shares.items():
             self.bb_free[node] -= share
+        if self.cfg.io_model == "off":  # same lifecycle, no bytes moved
+            plan = PhasePlan((job.runtime,), 0, 0, 0)
+        else:
+            plan = phase_plan_for(job)
         rj = RunningJob(
             job=job,
-            plan=phase_plan_for(job),
+            plan=plan,
             nodes=nodes,
             bb_shares={n: s for n, s in shares.items() if s},
             start=now,
         )
         self.running[job.id] = rj
         self._trace(now, "launch", job=job.id, nodes=nodes, bb_shares=rj.bb_shares)
-        if self.cfg.io_model == "off":
-            self._push(now + job.runtime, JOB_FINISHED, job.id)
-            self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
-            return
         self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
         if rj.plan.stage_in_bytes > 0:
             self._start_pfs_transfer(now, (job.id, "in"), rj.plan.stage_in_bytes)
@@ -371,6 +366,8 @@ class Simulation:
     # -- invariants ----------------------------------------------------------------
 
     def _check_invariants(self, now) -> None:
+        held = {r.job_id for r in self.profile.reservations()}
+        assert held == set(self.running), "profile must hold exactly the running jobs"
         used_procs = sum(rj.job.n_procs for rj in self.running.values())
         used_bb = sum(rj.job.bb_total for rj in self.running.values())
         assert used_procs <= self.platform.n_procs, "processor over-allocation"

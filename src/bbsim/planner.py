@@ -11,8 +11,10 @@ import random
 from dataclasses import dataclass, field
 
 from .availability import AvailabilityProfile, Reservation
-from .policies import CycleResult, SchedulerState
+from .policies import CycleResult, SchedulerState, launch
 from .workload import JobSpec
+
+EXHAUSTIVE_THRESHOLD = 5  # queues up to this length are searched exhaustively
 
 
 @dataclass
@@ -21,7 +23,6 @@ class AnnealConfig:
     r: float = 0.9  # cooling rate
     n_cooling: int = 30
     m_steps: int = 6  # constant-temperature steps
-    exhaustive_threshold: int = 5
 
     def __post_init__(self):
         if not 0 < self.r < 1:
@@ -180,27 +181,22 @@ def plan_schedule(
     rng: random.Random,
     stats: SearchStats | None = None,
 ) -> CycleResult:
-    """Build the best plan for the whole queue, launch now-jobs, reserve the rest.
+    """Build the best plan for the whole queue and launch the jobs it starts now.
 
-    Future reservations are transient: the caller drops them before the next
-    scheduling cycle and the plan is rebuilt from scratch.
+    Nothing is reserved for the later jobs: the plan is rebuilt from scratch
+    at the next scheduling cycle.
     """
     result = CycleResult()
     if not state.queue:
         return result
-    if len(state.queue) <= cfg.exhaustive_threshold:
+    if len(state.queue) <= EXHAUSTIVE_THRESHOLD:
         plan = exhaustive(state.queue, state.profile, state.now, cfg.alpha, stats)
     else:
         plan = anneal(state.queue, state.profile, state.now, cfg, rng, stats)
     jobs_by_id = {j.id: j for j in state.queue}
     for jid in plan.permutation:
         job = jobs_by_id[jid]
-        start = plan.starts[jid]
-        kind = "running" if start == state.now else "future"
-        state.profile.add(
-            Reservation(job.id, start, start + job.walltime, job.n_procs, job.bb_total, kind)
-        )
-        if kind == "running":
-            state.queue.remove(job)
+        if plan.starts[jid] == state.now:
+            launch(state, job)
             result.launched.append(job)
     return result

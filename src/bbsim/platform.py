@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 
 
-class ConfigurationError(Exception):
+class ConfigurationError(ValueError):
     """Invalid platform configuration."""
 
 

@@ -1,8 +1,9 @@
 """Queue-based schedulers: FCFS, filler, and EASY-backfilling variants.
 
-All policies operate on a SchedulerState whose profile already contains a
-"running" reservation for every executing job. Launching a job means adding
-its running reservation (for its walltime) and removing it from the queue.
+All policies operate on a SchedulerState whose profile holds a reservation
+for every executing job and nothing else. Launching a job means adding its
+reservation (from now for its walltime) and removing it from the queue; any
+other reservation a policy makes lasts for its own pass only.
 """
 
 from __future__ import annotations
@@ -61,16 +62,9 @@ class EasyGuaranteeViolation(AssertionError):
     """A backfilled job delayed the head job's reserved start."""
 
 
-def _launch(state: SchedulerState, job: JobSpec) -> None:
+def launch(state: SchedulerState, job: JobSpec) -> None:
     state.profile.add(
-        Reservation(
-            job_id=job.id,
-            start=state.now,
-            end=state.now + job.walltime,
-            n_procs=job.n_procs,
-            bb_bytes=job.bb_total,
-            kind="running",
-        )
+        Reservation(job.id, state.now, state.now + job.walltime, job.n_procs, job.bb_total)
     )
     state.queue.remove(job)
 
@@ -86,7 +80,7 @@ def fcfs_pass(state: SchedulerState) -> list[JobSpec]:
     launched = []
     for job in list(state.queue):
         if _fits_now(state, job):
-            _launch(state, job)
+            launch(state, job)
             launched.append(job)
         else:
             break
@@ -103,7 +97,7 @@ def backfill_pass(state: SchedulerState, candidates: list[JobSpec]) -> list[JobS
     launched = []
     for job in candidates:
         if _fits_now(state, job):
-            _launch(state, job)
+            launch(state, job)
             launched.append(job)
     return launched
 
@@ -119,12 +113,12 @@ def easy_schedule(
 
     The head reservation covers processors only, or processors and burst
     buffers when cfg.reserve_bb is set. SJF order applies to the backfill
-    candidates only; the head is re-queued at the front either way.
+    candidates only; the head stays at the front of the queue either way.
     """
     result = CycleResult(launched=fcfs_pass(state))
     if not state.queue:
         return result
-    head = state.queue.pop(0)
+    head = state.queue[0]
     bb_demand = head.bb_total if cfg.reserve_bb else 0
     start = state.profile.earliest_slot(
         head.n_procs, bb_demand, head.walltime, state.now
@@ -132,7 +126,7 @@ def easy_schedule(
     state.profile.add(
         Reservation(head.id, start, start + head.walltime, head.n_procs, bb_demand)
     )
-    candidates = sjf_sorted(state.queue) if cfg.order == "sjf" else list(state.queue)
+    candidates = sjf_sorted(state.queue[1:]) if cfg.order == "sjf" else state.queue[1:]
     result.launched += backfill_pass(state, candidates)
     state.profile.remove(head.id)
     if validate:
@@ -144,7 +138,6 @@ def easy_schedule(
                 f"head job {head.id}: reserved start {start}, "
                 f"post-backfill earliest slot {recomputed}"
             )
-    state.queue.insert(0, head)
     result.head_reservation = HeadReservation(head.id, start, head.n_procs, bb_demand)
     return result
 

@@ -39,6 +39,10 @@ class JobSpec:
     bb_total_bytes: int | None = None
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            # type(...) is int refuses bool, an int subclass, too
+            if type(value) is not int and (value is not None or name != "bb_total_bytes"):
+                raise ValueError(f"job {self.id!r}: {name} must be an integer, got {value!r}")
         if self.runtime <= 0:
             raise ValueError(f"job {self.id}: runtime must be positive")
         if self.walltime < self.runtime:
@@ -225,9 +229,9 @@ def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
             fields = json.loads(line)
             unknown = sorted(set(fields) - set(_JOB_FIELDS))
             if unknown:
-                raise ValueError(f"line {line_no}: unknown job field(s) {', '.join(unknown)}")
+                raise ValueError(f"unknown job field(s) {', '.join(unknown)}")
             jobs.append(JobSpec(**fields))
-        except TypeError as exc:  # missing fields, or a line that is not an object
+        except (TypeError, ValueError) as exc:  # TypeError: missing fields, or not an object
             raise ValueError(f"line {line_no}: {exc}") from exc
     return jobs, header
 

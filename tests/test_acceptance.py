@@ -100,8 +100,7 @@ def random_instance(rng, n_jobs, now=100):
     for i in range(rng.randint(0, 4)):
         start = rng.randint(0, 200)
         res = Reservation(1000 + i, start, start + rng.randint(1, 400),
-                          rng.randint(0, total_procs), rng.randint(0, total_bb),
-                          "running")
+                          rng.randint(0, total_procs), rng.randint(0, total_bb))
         if profile.has_capacity(res.n_procs, res.bb_bytes, res.start, res.end):
             profile.add(res)
     queue = [
@@ -123,7 +122,7 @@ def oracle_best_score(queue, profile, now, alpha):
         for j in perm:
             start = prof.earliest_slot(j.n_procs, j.bb_total, j.walltime, now)
             prof.add(Reservation(j.id, start, start + j.walltime,
-                                 j.n_procs, j.bb_total, "future"))
+                                 j.n_procs, j.bb_total))
             total += (start - j.submit_time) ** alpha
         best = min(best, total)
     return best
@@ -190,7 +189,7 @@ def pruned_optimum(queue, profile, now, alpha):
             if partial >= best:
                 continue
             prof.add(Reservation(j.id, start, start + j.walltime,
-                                 j.n_procs, j.bb_total, "future"))
+                                 j.n_procs, j.bb_total))
             dfs(remaining[:i] + remaining[i + 1:], partial)
             prof.remove(j.id)
 

@@ -186,6 +186,44 @@ def test_simulate_duplicate_job_ids_is_input_error(tmp_path, table1_config, caps
     assert "duplicate job id 1" in capsys.readouterr().err
 
 
+def test_simulate_fractional_times_are_input_error(tmp_path, table1_config, capsys):
+    # half-second times would otherwise run and reach the records as floats
+    workload = write_raw_workload(tmp_path / "w.jsonl",
+                                  {"format": "bbsim-workload", "version": 1},
+                                  [dict(JOB, submit_time=0.5, runtime=5.5, walltime=6)])
+    argv = ["simulate", "--workload", str(workload), "--config", str(table1_config),
+            "--io-model", "off", "-o", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    assert "job 1: submit_time must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, message", [
+    ({"platform": {"bogus": 1}}, "bogus"),
+    ({"platform": {"bb_request_model": {"mu": 1.0}}}, "sigma"),
+    ({"platform": {"n_compute_nodes": 5}}, "topology mismatch"),
+    ({"platform": [4]}, "must be a JSON object"),
+    ([4], "must hold a JSON object"),
+])
+def test_simulate_bad_platform_config_is_input_error(tmp_path, table1_workload, capsys,
+                                                     document, message):
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(document))
+    assert simulate_exit_code(tmp_path, table1_workload, config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("manifest", [{}, {"config": {}}, []])
+def test_from_manifest_without_config_is_input_error(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "workload_sha256" in err
+
+
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):
     # the second record is submitted in part 17, past the sixteen parts
     records = tmp_path / "r.csv"

@@ -65,8 +65,8 @@ def test_build_plan_single_job_fits_now():
 
 def test_build_plan_table1_job3():
     profile = AvailabilityProfile(4, 10 * TB)
-    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB, "running"))
-    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB, "running"))
+    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
+    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
     j3 = table1_job(*TABLE1[2])
     plan = build_plan([j3], profile, now=1 * MIN, alpha=2)
     assert plan.starts == {3: 10 * MIN}
@@ -134,7 +134,7 @@ def test_exhaustive_evaluates_all_permutations():
 def test_exhaustive_beats_fcfs_on_contended_instance():
     # last-submitted shortest job should jump the queue under alpha=1
     profile = AvailabilityProfile(4, 0)
-    profile.add(Reservation(99, 0, 100, 3, 0, "running"))
+    profile.add(Reservation(99, 0, 100, 3, 0))
     queue = [
         job(1, submit=0, walltime=500, procs=4),
         job(2, submit=0, walltime=500, procs=4),
@@ -222,15 +222,14 @@ def test_metropolis_zero_temperature_limit():
 
 def test_plan_schedule_exhaustive_path_and_future_reservation():
     profile = AvailabilityProfile(4, 10 * TB)
-    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB, "running"))
-    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB, "running"))
+    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
+    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
     j3 = table1_job(*TABLE1[2])
     state = SchedulerState(queue=[j3], profile=profile, now=1 * MIN)
+    assert exhaustive([j3], profile, 1 * MIN, 2).starts[3] == 10 * MIN
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert result.launched == []
-    res = profile.get(3)
-    assert res is not None and res.kind == "future"
-    assert res.start == 10 * MIN
+    assert 3 not in profile  # a planned future start reserves nothing
     assert state.queue == [j3]
 
 
@@ -241,7 +240,7 @@ def test_plan_schedule_launches_now_jobs():
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert sorted(j.id for j in result.launched) == [1, 2]
     assert state.queue == []
-    assert all(r.kind == "running" for r in state.profile.reservations())
+    assert sorted(r.job_id for r in state.profile.reservations()) == [1, 2]
 
 
 def test_plan_schedule_empty_queue_is_noop():
@@ -259,7 +258,7 @@ def test_plan_matches_bruteforce_small_queue():
         for i in range(rng.randint(0, 3)):
             start = rng.randint(0, 100)
             r = Reservation(100 + i, start, start + rng.randint(1, 200),
-                            rng.randint(0, 4), rng.randint(0, 5), "running")
+                            rng.randint(0, 4), rng.randint(0, 5))
             if profile.has_capacity(r.n_procs, r.bb_bytes, r.start, r.end):
                 profile.add(r)
         plan = exhaustive(queue, profile, 30, 2)

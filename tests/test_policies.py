@@ -30,7 +30,7 @@ def job(jid, submit=0, walltime=60, procs=1, bb=0, runtime=None):
 def state_with_running(queue, now, running=(), procs=4, bb=10 * TB):
     profile = AvailabilityProfile(procs, bb)
     for j in running:
-        profile.add(Reservation(j.id, 0, j.walltime, j.n_procs, j.bb_total, "running"))
+        profile.add(Reservation(j.id, 0, j.walltime, j.n_procs, j.bb_total))
     return SchedulerState(queue=list(queue), profile=profile, now=now)
 
 
@@ -161,7 +161,7 @@ def test_filler_equals_fcfs_when_everything_fits():
 def test_filler_starves_wide_head():
     """Small jobs keep arriving; the 2-proc head never fits on a 2-proc cluster."""
     profile = AvailabilityProfile(2, 0)
-    profile.add(Reservation(999, 0, 30, 1, 0, "running"))
+    profile.add(Reservation(999, 0, 30, 1, 0))
     head = job(100, submit=0, procs=2, walltime=60)
     queue = [head]
     waits = []

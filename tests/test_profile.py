@@ -20,8 +20,8 @@ def table1_profile_at_t1():
     """State one minute in: job 1 holds (1 CPU, 4 TB) until t=10 min,
     job 2 holds (1 CPU, 2 TB) until t=4 min."""
     p = AvailabilityProfile(total_procs=4, total_bb=10 * TB)
-    p.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB, "running"))
-    p.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB, "running"))
+    p.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
+    p.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
     return p
 
 

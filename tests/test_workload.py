@@ -202,3 +202,24 @@ def test_read_workload_rejects_other_version():
     text = '{"format": "bbsim-workload", "version": 99}\n'
     with pytest.raises(ValueError, match="version 99"):
         read_workload(io.StringIO(text))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("submit_time", 0.5), ("runtime", 5.5), ("walltime", 10.0), ("n_procs", True),
+     ("bb_per_proc", "1"), ("n_phases", None), ("bb_total_bytes", 1.5), ("id", 7.0)],
+)
+def test_jobspec_rejects_non_integer_fields(field, value):
+    fields = {"id": 7, "submit_time": 0, "runtime": 5, "walltime": 10, "n_procs": 1}
+    fields[field] = value
+    with pytest.raises(ValueError, match=rf"job 7(\.0)?: {field} must be an integer"):
+        JobSpec(**fields)
+
+
+def test_read_workload_rejects_fractional_time_with_line_number():
+    text = (
+        '{"format": "bbsim-workload", "version": 1}\n'
+        '{"id": 1, "submit_time": 0.5, "runtime": 5, "walltime": 5, "n_procs": 1}\n'
+    )
+    with pytest.raises(ValueError, match="line 2: job 1: submit_time must be an integer"):
+        read_workload(io.StringIO(text))

@@ -1,14 +1,16 @@
 """Availability profile: free processors and burst-buffer bytes over future time.
 
-The profile is a step function derived from a set of non-overlapping (in the
-resource sense) reservations against fixed platform totals. It supports
-earliest-slot queries, window feasibility checks and exact add/remove of
-reservations. Time is integer seconds throughout.
+The profile is a step function of free capacity, derived from a set of
+reservations that never together exceed the fixed platform totals. It stores
+the free processors and bytes of each step, so earliest-slot queries and
+window feasibility checks look only at the steps their window covers. Adding
+or removing a reservation is exact. Time is integer seconds throughout.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 
 
@@ -42,9 +44,12 @@ class Reservation:
 class AvailabilityProfile:
     """Mutable ledger of reservations with piecewise-constant free capacity.
 
-    Internally keeps a sorted list of breakpoint times with resource deltas;
-    queries sweep the breakpoints accumulating usage. At most one reservation
-    per job id.
+    Internally keeps sorted breakpoint times, each with the free processors
+    and burst-buffer bytes up to the next one. The first breakpoint is -inf,
+    so every time lies in exactly one step; past it, a breakpoint exists
+    exactly where free capacity changes. Queries bisect to the step holding
+    their start and scan only the steps their window covers. At most one
+    reservation per job id.
     """
 
     def __init__(self, total_procs: int, total_bb: int):
@@ -52,16 +57,16 @@ class AvailabilityProfile:
             raise ValueError("platform totals must be non-negative")
         self.total_procs = total_procs
         self.total_bb = total_bb
-        self._times: list[int] = []
-        self._dp: list[int] = []
-        self._db: list[int] = []
+        self._times: list[float] = [-math.inf]
+        self._free_p: list[int] = [total_procs]
+        self._free_b: list[int] = [total_bb]
         self._res: dict[int, Reservation] = {}
 
     def copy(self) -> "AvailabilityProfile":
         new = AvailabilityProfile(self.total_procs, self.total_bb)
         new._times = list(self._times)
-        new._dp = list(self._dp)
-        new._db = list(self._db)
+        new._free_p = list(self._free_p)
+        new._free_b = list(self._free_b)
         new._res = dict(self._res)
         return new
 
@@ -73,19 +78,27 @@ class AvailabilityProfile:
     def __contains__(self, job_id: int) -> bool:
         return job_id in self._res
 
-    def _apply(self, t: int, dp: int, db: int) -> None:
-        if dp == 0 and db == 0:
-            return
-        i = bisect.bisect_left(self._times, t)
-        if i < len(self._times) and self._times[i] == t:
-            self._dp[i] += dp
-            self._db[i] += db
-            if self._dp[i] == 0 and self._db[i] == 0:
-                del self._times[i], self._dp[i], self._db[i]
-        else:
-            self._times.insert(i, t)
-            self._dp.insert(i, dp)
-            self._db.insert(i, db)
+    def _split(self, t: int) -> int:
+        """Index of the breakpoint at t, inserted with unchanged free capacity if absent."""
+        times = self._times
+        i = bisect.bisect_left(times, t)
+        if i == len(times) or times[i] != t:
+            times.insert(i, t)
+            self._free_p.insert(i, self._free_p[i - 1])
+            self._free_b.insert(i, self._free_b[i - 1])
+        return i
+
+    def _apply(self, start: int, end: int, dp: int, db: int) -> None:
+        """Add (dp, db) to free capacity over [start, end)."""
+        times, fp, fb = self._times, self._free_p, self._free_b
+        i, j = self._split(start), self._split(end)
+        for k in range(i, j):
+            fp[k] += dp
+            fb[k] += db
+        # only the two ends can have become redundant; j first keeps i valid
+        for k in (j, i):
+            if fp[k] == fp[k - 1] and fb[k] == fb[k - 1]:
+                del times[k], fp[k], fb[k]
 
     def add(self, r: Reservation) -> None:
         if r.job_id in self._res:
@@ -96,45 +109,32 @@ class AvailabilityProfile:
                 f"over [{r.start}, {r.end})"
             )
         self._res[r.job_id] = r
-        self._apply(r.start, r.n_procs, r.bb_bytes)
-        self._apply(r.end, -r.n_procs, -r.bb_bytes)
+        self._apply(r.start, r.end, -r.n_procs, -r.bb_bytes)
 
     def remove(self, job_id: int) -> Reservation:
         r = self._res.pop(job_id)
-        self._apply(r.start, -r.n_procs, -r.bb_bytes)
-        self._apply(r.end, r.n_procs, r.bb_bytes)
+        self._apply(r.start, r.end, r.n_procs, r.bb_bytes)
         return r
 
     # -- queries -----------------------------------------------------------
 
     def breakpoints(self) -> list[int]:
-        return list(self._times)
+        return self._times[1:]
 
     def free_at(self, t: int) -> tuple[int, int]:
         """(free processors, free burst-buffer bytes) at time t."""
-        used_p = used_b = 0
-        for i, bp in enumerate(self._times):
-            if bp > t:
-                break
-            used_p += self._dp[i]
-            used_b += self._db[i]
-        return self.total_procs - used_p, self.total_bb - used_b
+        i = bisect.bisect_right(self._times, t) - 1
+        return self._free_p[i], self._free_b[i]
 
     def has_capacity(self, n_procs: int, bb_bytes: int, start: int, end: int) -> bool:
         """True if demand fits on top of existing reservations over [start, end)."""
         if n_procs > self.total_procs or bb_bytes > self.total_bb:
             return False
-        used_p = used_b = 0
-        n = len(self._times)
-        for i, t in enumerate(self._times):
-            if t >= end:
+        times, fp, fb = self._times, self._free_p, self._free_b
+        for k in range(bisect.bisect_right(times, start) - 1, len(times)):
+            if times[k] >= end:
                 break
-            used_p += self._dp[i]
-            used_b += self._db[i]
-            seg_end = self._times[i + 1] if i + 1 < n else None
-            if seg_end is not None and seg_end <= start:
-                continue
-            if used_p + n_procs > self.total_procs or used_b + bb_bytes > self.total_bb:
+            if fp[k] < n_procs or fb[k] < bb_bytes:
                 return False
         return True
 
@@ -148,21 +148,15 @@ class AvailabilityProfile:
             )
         if duration <= 0:
             raise ValueError("duration must be positive")
-        candidate = not_before
-        used_p = used_b = 0
-        n = len(self._times)
-        for i, t in enumerate(self._times):
-            if t >= candidate + duration:
-                return candidate
-            used_p += self._dp[i]
-            used_b += self._db[i]
-            seg_end = self._times[i + 1] if i + 1 < n else None
-            if seg_end is not None and seg_end <= not_before:
-                continue
-            if used_p + n_procs > self.total_procs or used_b + bb_bytes > self.total_bb:
-                # open-ended infeasibility is impossible: deltas sum to zero
-                assert seg_end is not None
-                candidate = max(candidate, seg_end)
+        times, fp, fb = self._times, self._free_p, self._free_b
+        candidate, end = not_before, not_before + duration
+        for k in range(bisect.bisect_right(times, candidate) - 1, len(times)):
+            if times[k] >= end:
+                break
+            if fp[k] < n_procs or fb[k] < bb_bytes:
+                # the last step is entirely free, so step k + 1 exists
+                candidate = times[k + 1]
+                end = candidate + duration
         return candidate
 
 

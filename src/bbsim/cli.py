@@ -105,6 +105,13 @@ def _platform_from_config(cfg) -> PlatformConfig:
     return _from_json(PlatformConfig, cfg, "platform config")
 
 
+# the keys simulate writes into a manifest's config; --from-manifest needs them all
+CONFIG_KEYS = (
+    "platform", "workload", "policy", "alpha", "sa_r", "sa_n", "sa_m", "seed",
+    "io_model", "tick_period_s",
+)
+
+
 def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> None:
     platform = build_platform(_platform_from_config(config["platform"]))
     with open(config["workload"]) as f:
@@ -142,6 +149,13 @@ def cmd_simulate(args) -> int:
                 f"{args.from_manifest}: a manifest needs 'config' and 'workload_sha256'"
             )
         config = manifest["config"]
+        if not isinstance(config, dict):
+            raise InputError(f"{args.from_manifest}: 'config' must be a JSON object")
+        missing = [key for key in CONFIG_KEYS if key not in config]
+        if missing:
+            raise InputError(
+                f"{args.from_manifest}: manifest config lacks {', '.join(map(repr, missing))}"
+            )
         if _sha256(config["workload"]) != manifest["workload_sha256"]:
             raise InputError("workload file changed since the manifest was written")
         _run_simulation(config, args.output, args.trace)

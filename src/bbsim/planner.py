@@ -57,18 +57,24 @@ def build_plan(
     now: int,
     alpha: float,
     stats: SearchStats | None = None,
+    known_starts: tuple[int, ...] = (),
 ) -> ExecutionPlan:
-    """Place jobs in the given order at their earliest slots on a profile copy."""
+    """Place jobs in the given order at their earliest slots on a profile copy.
+
+    The first len(known_starts) jobs go at those starts instead, capacity-checked.
+    """
     if stats is not None:
         stats.n_builds += 1
     work = profile.copy()
     starts: dict[int, int] = {}
     waits = []
-    for job in jobs:
-        start = work.earliest_slot(job.n_procs, job.bb_total, job.walltime, now)
-        work.add(
-            Reservation(job.id, start, start + job.walltime, job.n_procs, job.bb_total)
-        )
+    for k, job in enumerate(jobs):
+        bb = job.bb_total
+        if k < len(known_starts):
+            start = known_starts[k]
+        else:
+            start = work.earliest_slot(job.n_procs, bb, job.walltime, now)
+        work.add(Reservation(job.id, start, start + job.walltime, job.n_procs, bb))
         starts[job.id] = start
         waits.append(start - job.submit_time)
     return ExecutionPlan(
@@ -131,9 +137,10 @@ def anneal(
     """Simulated annealing from the best of the nine candidates.
 
     Initial temperature is the best-worst candidate score spread; annealing is
-    skipped entirely when the spread is zero. The incumbent's score is cached
+    skipped entirely when the spread is zero. The incumbent plan is kept
     between steps, so each inner step constructs exactly one new plan:
-    n_cooling * m_steps + 9 constructions total with defaults (189).
+    n_cooling * m_steps + 9 constructions total with defaults (189). A swap
+    of positions i and j replays the incumbent's first min(i, j) starts.
     """
     if stats is None:
         stats = SearchStats()
@@ -150,27 +157,25 @@ def anneal(
         return best
 
     temperature = worst.score - best.score
-    current_perm = list(best.permutation)
-    current_score = best.score
-    n = len(current_perm)
+    current = best
+    n = len(queue)
     for _ in range(cfg.n_cooling):
         for _ in range(cfg.m_steps):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            new_perm = list(current_perm)
+            new_perm = list(current.permutation)
             new_perm[i], new_perm[j] = new_perm[j], new_perm[i]
-            plan = build_plan(
-                [jobs_by_id[jid] for jid in new_perm], profile, now, cfg.alpha, stats
-            )
+            prefix = tuple(current.starts[jid] for jid in new_perm[: min(i, j)])
+            new_jobs = [jobs_by_id[jid] for jid in new_perm]
+            plan = build_plan(new_jobs, profile, now, cfg.alpha, stats, prefix)
             if plan.score < best.score:
-                best = plan
-                current_perm, current_score = new_perm, plan.score
-            elif plan.score < current_score or rng.random() < math.exp(
-                (current_score - plan.score) / temperature
+                best = current = plan
+            elif plan.score < current.score or rng.random() < math.exp(
+                (current.score - plan.score) / temperature
             ):
-                current_perm, current_score = new_perm, plan.score
+                current = plan
         temperature *= cfg.r
     return best
 

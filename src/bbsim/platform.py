@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ConfigurationError(ValueError):
@@ -52,6 +52,11 @@ class PlatformConfig:
         )
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # type(...) is int refuses bool, an int subclass, too
+            if f.type == "int" and type(value) is not int:
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if self.total_nodes() != self.n_compute_nodes + self.n_storage_nodes:
             raise ConfigurationError(
                 f"topology mismatch: {self.groups}x{self.chassis_per_group}"
@@ -66,7 +71,7 @@ class PlatformConfig:
         if self.compute_link_bw <= 0 or self.pfs_link_bw <= 0:
             raise ConfigurationError("bandwidths must be strictly positive")
         if self.bb_capacity_total != "auto":
-            if not isinstance(self.bb_capacity_total, int) or self.bb_capacity_total < 0:
+            if type(self.bb_capacity_total) is not int or self.bb_capacity_total < 0:
                 raise ConfigurationError("bb_capacity_total must be 'auto' or bytes >= 0")
 
 

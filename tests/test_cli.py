@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bbsim.cli import main
+from bbsim.cli import CONFIG_KEYS, main
 from bbsim.metrics import read_records
 from bbsim.workload import PART_SECONDS, read_workload, write_workload
 
@@ -202,6 +202,7 @@ def test_simulate_fractional_times_are_input_error(tmp_path, table1_config, caps
     ({"platform": {"bogus": 1}}, "bogus"),
     ({"platform": {"bb_request_model": {"mu": 1.0}}}, "sigma"),
     ({"platform": {"n_compute_nodes": 5}}, "topology mismatch"),
+    ({"platform": {"n_compute_nodes": "96"}}, "n_compute_nodes must be an integer"),
     ({"platform": [4]}, "must be a JSON object"),
     ([4], "must hold a JSON object"),
 ])
@@ -222,6 +223,34 @@ def test_from_manifest_without_config_is_input_error(tmp_path, capsys, manifest)
                  "-o", str(tmp_path / "out.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "workload_sha256" in err
+
+
+@pytest.mark.parametrize("config, message", [
+    ({}, "lacks 'platform', 'workload'"),
+    ([], "'config' must be a JSON object"),
+])
+def test_from_manifest_bad_config_is_input_error(tmp_path, capsys, config, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": config, "workload_sha256": "x"}))
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_from_manifest_names_each_missing_key(tmp_path, table1_workload, table1_config,
+                                              capsys):
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["config"]) == sorted(CONFIG_KEYS)
+    for key in CONFIG_KEYS:
+        config = {k: v for k, v in manifest["config"].items() if k != key}
+        path = tmp_path / f"no-{key}.json"
+        path.write_text(json.dumps({**manifest, "config": config}))
+        assert main(["simulate", "--from-manifest", str(path),
+                     "-o", str(tmp_path / "out.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"lacks '{key}'" in err
 
 
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):

@@ -168,6 +168,52 @@ def test_anneal_budget_is_189():
     assert stats.n_builds == 9 + 30 * 6 == 189
 
 
+def test_anneal_earliest_slot_budget(monkeypatch):
+    """One seeded annealing cycle makes an exact number of earliest-slot
+    searches: every build searches the jobs after its replayed prefix."""
+    calls = 0
+    original = AvailabilityProfile.earliest_slot
+
+    def counting(self, *args):
+        nonlocal calls
+        calls += 1
+        return original(self, *args)
+
+    monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
+    stats = SearchStats()
+    anneal(heterogeneous_queue(8), AvailabilityProfile(8, 10), 50,
+           AnnealConfig(alpha=2), random.Random(0), stats)
+    assert stats.n_builds == 189
+    # 9 * 8 for the seed orderings, then 8 - min(i, j) per swap; 189 * 8
+    # without the replay
+    assert calls == 1147
+
+
+def test_prefix_replay_equals_scratch_build():
+    rng = random.Random(11)
+    for trial in range(100):
+        n = rng.randint(2, 9)
+        queue = random_queue(rng, n, now=40)
+        profile = AvailabilityProfile(8, 10)
+        for k in range(rng.randint(0, 4)):
+            start = rng.randint(0, 80)
+            r = Reservation(100 + k, start, start + rng.randint(1, 200),
+                            rng.randint(0, 4), rng.randint(0, 5))
+            if profile.has_capacity(r.n_procs, r.bb_bytes, r.start, r.end):
+                profile.add(r)
+        incumbent_order = rng.sample(queue, n)
+        incumbent = build_plan(incumbent_order, profile, 40, 2)
+        i, j = rng.sample(range(n), 2)
+        order = list(incumbent_order)
+        order[i], order[j] = order[j], order[i]
+        prefix = tuple(incumbent.starts[job.id] for job in order[: min(i, j)])
+        replayed = build_plan(order, profile, 40, 2, known_starts=prefix)
+        scratch = build_plan(order, profile, 40, 2)
+        assert replayed.starts == scratch.starts
+        assert replayed.score == scratch.score
+        assert replayed.permutation == scratch.permutation
+
+
 def test_anneal_skipped_for_identical_jobs():
     queue = [job(i, walltime=50) for i in range(1, 7)]
     profile = AvailabilityProfile(1, 0)

@@ -59,6 +59,17 @@ def test_invalid_topology_rejected():
         PlatformConfig(n_compute_nodes=95).validate()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_compute_nodes", "96"),
+    ("groups", 3.0),
+    ("pfs_link_bw", True),
+    ("bb_capacity_total", False),
+])
+def test_non_integer_field_rejected(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        PlatformConfig(**{field: value}).validate()
+
+
 def test_auto_capacity_matches_model_mean():
     model = LogNormalModel(mu=math.log(1e9), sigma=1e-9)
     assert expected_bb_capacity(model, 96) == pytest.approx(96e9, rel=1e-9)

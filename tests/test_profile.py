@@ -168,3 +168,106 @@ def test_earliest_slot_is_tight(specs, procs, bb, duration, not_before):
     )
     for s in earlier:
         assert not p.has_capacity(procs, bb, s, s + duration)
+
+
+class BruteForceProfile:
+    """Used processors and bytes at every second of [0, horizon)."""
+
+    def __init__(self, total_procs, total_bb, horizon):
+        self.total_procs, self.total_bb = total_procs, total_bb
+        self.used_p = [0] * horizon
+        self.used_b = [0] * horizon
+
+    def apply(self, r, sign):
+        for t in range(r.start, r.end):
+            self.used_p[t] += sign * r.n_procs
+            self.used_b[t] += sign * r.bb_bytes
+
+    def free_at(self, t):
+        return self.total_procs - self.used_p[t], self.total_bb - self.used_b[t]
+
+    def has_capacity(self, procs, bb, start, end):
+        return all(
+            self.used_p[t] + procs <= self.total_procs
+            and self.used_b[t] + bb <= self.total_bb
+            for t in range(start, end)
+        )
+
+    def earliest_slot(self, procs, bb, duration, not_before):
+        t = not_before
+        while not self.has_capacity(procs, bb, t, t + duration):
+            t += 1
+        return t
+
+    def breakpoints(self):
+        usage = list(zip(self.used_p, self.used_b))
+        return [t for t in range(len(usage)) if usage[t] != (usage[t - 1] if t else (0, 0))]
+
+
+ORACLE_TOTALS = (8, 10)
+# a short horizon makes reservations and query windows often share an end
+ORACLE_LAST_END = 40  # reservations end at or before this second
+ORACLE_MAX_START = ORACLE_LAST_END + 5
+ORACLE_MAX_DURATION = 30
+
+oracle_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.integers(0, ORACLE_LAST_END - 1),  # start
+            st.integers(1, 20),  # duration, clipped to ORACLE_LAST_END
+            st.integers(0, 8),  # procs
+            st.integers(0, 10),  # bb units
+        ),
+        st.tuples(st.just("remove"), st.integers(0, 30)),  # which held reservation
+    ),
+    max_size=30,
+)
+oracle_queries = st.lists(
+    st.tuples(
+        st.integers(0, 8),  # procs
+        st.integers(0, 10),  # bb units
+        st.integers(0, ORACLE_MAX_START),  # start / not_before
+        st.integers(1, ORACLE_MAX_DURATION),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(oracle_ops, oracle_queries)
+@settings(max_examples=150, deadline=None)
+def test_profile_matches_per_second_oracle(ops, queries):
+    """Every query agrees with a per-second array after each add and remove,
+    and breakpoints are exactly the seconds where free capacity changes."""
+    p = AvailabilityProfile(*ORACLE_TOTALS)
+    # everything is free from ORACLE_LAST_END on, so no slot starts later
+    # than ORACLE_MAX_START
+    oracle = BruteForceProfile(*ORACLE_TOTALS, ORACLE_MAX_START + ORACLE_MAX_DURATION)
+    held: list[Reservation] = []
+    for n, op in enumerate(ops):
+        if op[0] == "add":
+            _, start, duration, procs, bb = op
+            r = Reservation(n, start, min(start + duration, ORACLE_LAST_END), procs, bb)
+            if oracle.has_capacity(procs, bb, r.start, r.end):
+                p.add(r)
+                held.append(r)
+                oracle.apply(r, +1)
+            else:
+                with pytest.raises(CapacityError):
+                    p.add(r)
+        elif held:
+            r = held.pop(op[1] % len(held))
+            assert p.remove(r.job_id) == r
+            oracle.apply(r, -1)
+        assert p.breakpoints() == oracle.breakpoints()
+        for t in range(ORACLE_LAST_END + 1):
+            assert p.free_at(t) == oracle.free_at(t)
+        for procs, bb, start, duration in queries:
+            end = start + duration
+            assert p.has_capacity(procs, bb, start, end) == oracle.has_capacity(
+                procs, bb, start, end
+            )
+            assert p.earliest_slot(procs, bb, duration, start) == oracle.earliest_slot(
+                procs, bb, duration, start
+            )

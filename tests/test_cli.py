@@ -202,9 +202,9 @@ def test_simulate_fractional_times_are_input_error(tmp_path, table1_config, caps
     ({"platform": {"bogus": 1}}, "bogus"),
     ({"platform": {"bb_request_model": {"mu": 1.0}}}, "sigma"),
     ({"platform": {"n_compute_nodes": 5}}, "topology mismatch"),
-    ({"platform": {"n_compute_nodes": "96"}}, "n_compute_nodes must be an integer"),
     ({"platform": [4]}, "must be a JSON object"),
     ([4], "must hold a JSON object"),
+    ({"platform": {"n_compute_nodes": "96"}}, "n_compute_nodes must be an integer"),
 ])
 def test_simulate_bad_platform_config_is_input_error(tmp_path, table1_workload, capsys,
                                                      document, message):

@@ -173,20 +173,23 @@ def allocate_bb(pools: dict[int, int], bb_bytes: int) -> dict[int, int]:
         raise AllocationError(
             f"request {bb_bytes} exceeds aggregate free capacity {sum(pools.values())}"
         )
-    shares = {node: 0 for node in pools}
-    remaining = bb_bytes
-    while remaining > 0:
-        free = {node: pools[node] - shares[node] for node in pools}
-        level = max(free.values())
-        top = sorted(node for node, f in free.items() if f == level)
-        lower = [f for f in free.values() if f < level]
-        second = max(lower) if lower else 0
-        take = min(remaining, len(top) * (level - second))
-        assert take > 0  # guaranteed by the aggregate-capacity check
-        per, rem = divmod(take, len(top))
-        for i, node in enumerate(top):
-            shares[node] += per + (1 if i < rem else 0)
-        remaining -= take
+    shares = dict.fromkeys(pools, 0)
+    if bb_bytes == 0:
+        return shares
+    # water-fill in one pass: the m fullest pools hold top_sum - m * level
+    # bytes above the m-th largest level; take the first m for which cutting
+    # them on down to the next lower level would cover the request
+    order = sorted(pools, key=pools.__getitem__, reverse=True)
+    top_sum = 0
+    for m, node in enumerate(order, 1):
+        level = pools[node]
+        top_sum += level
+        below = pools[order[m]] if m < len(order) else 0
+        if bb_bytes <= top_sum - m * below:
+            break
+    per, rem = divmod(bb_bytes - (top_sum - m * level), m)
+    for i, node in enumerate(sorted(order[:m])):
+        shares[node] = pools[node] - level + per + (1 if i < rem else 0)
     return shares
 
 

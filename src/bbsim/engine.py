@@ -4,7 +4,9 @@ Job lifecycle: stage-in -> compute phases interleaved with checkpoints
 (drained asynchronously to the PFS) -> stage-out. All PFS-link transfers share
 bandwidth equally; checkpoint transfers (compute to burst buffer) run at the
 compute link rate without cross-job contention. Transfer accounting uses
-rational arithmetic, so completions are byte-exact.
+rational arithmetic, so completions are byte-exact. Events run in order of
+exact time, then event priority, then push order; the heap key leads with the
+time as a float only so that most comparisons are one float comparison.
 """
 
 from __future__ import annotations
@@ -165,7 +167,9 @@ class Simulation:
     # -- event machinery -----------------------------------------------------
 
     def _push(self, time, event: int, payload=None) -> None:
-        heapq.heappush(self._heap, (time, event, self._seq, payload))
+        # float(time) only speeds up comparisons: it is monotone in time, and
+        # the exact time breaks ties between equal floats
+        heapq.heappush(self._heap, (float(time), time, event, self._seq, payload))
         self._seq += 1
 
     def _schedule_tick(self, at: int) -> None:
@@ -184,7 +188,7 @@ class Simulation:
         if self.jobs:
             self._schedule_tick(0)
         while self._heap:
-            now, event, _, payload = heapq.heappop(self._heap)
+            _, now, event, _, payload = heapq.heappop(self._heap)
             self._dispatch(now, event, payload)
             if self.cfg.validate:
                 self._check_invariants(now)

@@ -74,7 +74,9 @@ def build_plan(
             start = known_starts[k]
         else:
             start = work.earliest_slot(job.n_procs, bb, job.walltime, now)
-        work.add(Reservation(job.id, start, start + job.walltime, job.n_procs, bb))
+        if k < len(known_starts) or k < len(jobs) - 1:
+            # the last searched job's reservation would never be queried
+            work.add(Reservation(job.id, start, start + job.walltime, job.n_procs, bb))
         starts[job.id] = start
         waits.append(start - job.submit_time)
     return ExecutionPlan(

@@ -165,6 +165,24 @@ def test_kill_mid_drain_frees_the_link():
     assert not sim.link.active
 
 
+# link bandwidth and buffer size; odd, so (P + 1) // 2 bytes take just over 1/2 s
+P = 10**17 + 1
+
+
+@pytest.mark.parametrize(
+    ("walltime", "finish", "killed"),
+    [(101, 101, True), (102, Fraction(101 * P + 1, P), False)],
+)
+def test_events_ordered_by_exact_time_below_float_resolution(walltime, finish, killed):
+    # stage-in and stage-out of (P + 1) // 2 bytes take 1 + 1/P s together,
+    # so the stage-out completes at 101 + 1/P: after a walltime of 101 by
+    # 1/P s, though float(101 + 1/P) == 101.0, and before a walltime of 102
+    job = one_job(runtime=100, walltime=walltime, bb=(P + 1) // 2, phases=1)
+    (r,) = run(small_platform(pfs_bw=P, bb=P), [job], "fcfs", SimConfig(validate=True))
+    assert float(Fraction(101 * P + 1, P)) == 101.0
+    assert (r.finish, r.killed) == (finish, killed)
+
+
 TABLE1_EASY_STARTS = {1: 0, 2: 0, 6: 180, 3: 600, 7: 600}
 TABLE1_BB_STARTS = {1: 0, 2: 0, 4: 120, 3: 600}
 

@@ -271,3 +271,53 @@ def test_profile_matches_per_second_oracle(ops, queries):
             assert p.earliest_slot(procs, bb, duration, start) == oracle.earliest_slot(
                 procs, bb, duration, start
             )
+
+
+def water_fill_by_levels(pools, bb_bytes):
+    """Worst-fit split, one level at a time: give the fullest pools, evenly,
+    what brings them down to the next lower level, until the request is met."""
+    if bb_bytes < 0:
+        raise ValueError("negative request")
+    if bb_bytes > sum(pools.values()):
+        raise AllocationError(
+            f"request {bb_bytes} exceeds aggregate free capacity {sum(pools.values())}"
+        )
+    shares = {node: 0 for node in pools}
+    remaining = bb_bytes
+    while remaining > 0:
+        free = {node: pools[node] - shares[node] for node in pools}
+        level = max(free.values())
+        top = sorted(node for node, f in free.items() if f == level)
+        lower = [f for f in free.values() if f < level]
+        second = max(lower) if lower else 0
+        take = min(remaining, len(top) * (level - second))
+        assert take > 0  # guaranteed by the aggregate-capacity check
+        per, rem = divmod(take, len(top))
+        for i, node in enumerate(top):
+            shares[node] += per + (1 if i < rem else 0)
+        remaining -= take
+    return shares
+
+
+def allocation_outcome(allocate, pools, bb_bytes):
+    try:
+        return list(allocate(pools, bb_bytes).items())
+    except AllocationError as exc:
+        return str(exc)
+
+
+@given(
+    st.dictionaries(
+        st.integers(0, 30),
+        st.one_of(st.integers(0, 12), st.integers(0, 10**13)),
+        max_size=12,
+    ),
+    st.data(),
+)
+@settings(max_examples=300)
+def test_allocate_bb_matches_level_by_level_oracle(pools, data):
+    """Same shares, in the same node order, and the same AllocationError."""
+    bb_bytes = data.draw(st.integers(0, sum(pools.values()) + 10))
+    assert allocation_outcome(allocate_bb, pools, bb_bytes) == allocation_outcome(
+        water_fill_by_levels, pools, bb_bytes
+    )

@@ -1,60 +1,3 @@
 """bbsim: discrete-event simulator of job scheduling with shared burst buffers."""
 
 __version__ = "0.1.0"
-
-from .availability import (
-    AllocationError,
-    AvailabilityProfile,
-    CapacityError,
-    InfeasibleError,
-    Reservation,
-    allocate_bb,
-    allocate_nodes,
-)
-from .engine import SimConfig, Simulation, run, simulate_transfers
-from .metrics import (
-    JobRecord,
-    Summary,
-    bounded_slowdown,
-    normalize_by_reference,
-    summarize,
-    waiting_time,
-)
-from .planner import (
-    AnnealConfig,
-    ExecutionPlan,
-    anneal,
-    build_plan,
-    exhaustive,
-    initial_candidates,
-    plan_schedule,
-)
-from .platform import (
-    LogNormalModel,
-    Platform,
-    PlatformConfig,
-    build_platform,
-    expected_bb_capacity,
-)
-from .policies import (
-    PolicyConfig,
-    SchedulerState,
-    backfill_pass,
-    easy_schedule,
-    fcfs_pass,
-    filler_schedule,
-    run_policy,
-)
-from .workload import (
-    JobSpec,
-    PhasePlan,
-    WorkloadPart,
-    generate_phases,
-    parse_swf,
-    phase_plan_for,
-    split_parts,
-    synthesize_bb,
-    synthetic_workload,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,21 +1,20 @@
 """Availability profile: free processors and burst-buffer bytes over future time.
 
-The profile is a step function of free capacity, derived from a set of
-reservations that never together exceed the fixed platform totals. It stores
-the free processors and bytes of each step, so earliest-slot queries and
-window feasibility checks look only at the steps their window covers. Adding
-or removing a reservation is exact. Time is integer seconds throughout.
+The profile is a step function of free capacity and no more: callers add and
+remove demand over the interval they know, and free capacity stays between
+zero and the fixed platform totals. Each step stores its free processors and
+bytes, so earliest-slot queries and window feasibility checks look only at
+the steps their window covers. Time is integer seconds throughout.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 
 class CapacityError(Exception):
-    """A reservation would drive free capacity negative."""
+    """Demand would drive free capacity below zero or above the platform totals."""
 
 
 class InfeasibleError(Exception):
@@ -26,30 +25,20 @@ class AllocationError(Exception):
     """Not enough free resources to satisfy an allocation."""
 
 
-@dataclass(frozen=True)
-class Reservation:
-    job_id: int
-    start: int
-    end: int
-    n_procs: int
-    bb_bytes: int
-
-    def __post_init__(self):
-        if self.start >= self.end:
-            raise ValueError(f"reservation interval empty: [{self.start}, {self.end})")
-        if self.n_procs < 0 or self.bb_bytes < 0:
-            raise ValueError("negative resource demand")
+def _check_demand(start: int, end: int, n_procs: int, bb_bytes: int) -> None:
+    if start >= end or n_procs < 0 or bb_bytes < 0:
+        raise ValueError(f"empty interval [{start}, {end}) or negative demand")
 
 
 class AvailabilityProfile:
-    """Mutable ledger of reservations with piecewise-constant free capacity.
+    """Piecewise-constant free capacity, changed by adding and removing demand.
 
     Internally keeps sorted breakpoint times, each with the free processors
     and burst-buffer bytes up to the next one. The first breakpoint is -inf,
     so every time lies in exactly one step; past it, a breakpoint exists
-    exactly where free capacity changes. Queries bisect to the step holding
-    their start and scan only the steps their window covers. At most one
-    reservation per job id.
+    exactly where free capacity changes, so two profiles are equal exactly
+    when their step functions are. Queries bisect to the step holding their
+    start and scan only the steps their window covers.
     """
 
     def __init__(self, total_procs: int, total_bb: int):
@@ -60,23 +49,19 @@ class AvailabilityProfile:
         self._times: list[float] = [-math.inf]
         self._free_p: list[int] = [total_procs]
         self._free_b: list[int] = [total_bb]
-        self._res: dict[int, Reservation] = {}
 
     def copy(self) -> "AvailabilityProfile":
         new = AvailabilityProfile(self.total_procs, self.total_bb)
         new._times = list(self._times)
         new._free_p = list(self._free_p)
         new._free_b = list(self._free_b)
-        new._res = dict(self._res)
         return new
 
-    # -- reservation bookkeeping ------------------------------------------
+    def __eq__(self, other) -> bool:
+        """Same totals and the same step function."""
+        return isinstance(other, AvailabilityProfile) and vars(self) == vars(other)
 
-    def reservations(self) -> list[Reservation]:
-        return list(self._res.values())
-
-    def __contains__(self, job_id: int) -> bool:
-        return job_id in self._res
+    # -- changing free capacity --------------------------------------------
 
     def _split(self, t: int) -> int:
         """Index of the breakpoint at t, inserted with unchanged free capacity if absent."""
@@ -89,7 +74,7 @@ class AvailabilityProfile:
         return i
 
     def _apply(self, start: int, end: int, dp: int, db: int) -> None:
-        """Add (dp, db) to free capacity over [start, end)."""
+        """Add (dp, db) to free capacity over [start, end), start < end."""
         times, fp, fb = self._times, self._free_p, self._free_b
         i, j = self._split(start), self._split(end)
         for k in range(i, j):
@@ -100,21 +85,26 @@ class AvailabilityProfile:
             if fp[k] == fp[k - 1] and fb[k] == fb[k - 1]:
                 del times[k], fp[k], fb[k]
 
-    def add(self, r: Reservation) -> None:
-        if r.job_id in self._res:
-            raise ValueError(f"job {r.job_id} already has a reservation")
-        if not self.has_capacity(r.n_procs, r.bb_bytes, r.start, r.end):
+    def add(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
+        """Take the demand from free capacity over [start, end)."""
+        _check_demand(start, end, n_procs, bb_bytes)
+        if not self.has_capacity(n_procs, bb_bytes, start, end):
             raise CapacityError(
-                f"reservation for job {r.job_id} exceeds free capacity "
-                f"over [{r.start}, {r.end})"
+                f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity "
+                f"over [{start}, {end})"
             )
-        self._res[r.job_id] = r
-        self._apply(r.start, r.end, -r.n_procs, -r.bb_bytes)
+        self._apply(start, end, -n_procs, -bb_bytes)
 
-    def remove(self, job_id: int) -> Reservation:
-        r = self._res.pop(job_id)
-        self._apply(r.start, r.end, r.n_procs, r.bb_bytes)
-        return r
+    def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
+        """Give back demand that add took over [start, end)."""
+        _check_demand(start, end, n_procs, bb_bytes)
+        self._apply(start, end, n_procs, bb_bytes)
+        # only [start, end) changed, so a step above the totals lies in it
+        if max(self._free_p) > self.total_procs or max(self._free_b) > self.total_bb:
+            self._apply(start, end, -n_procs, -bb_bytes)  # undo
+            raise CapacityError(
+                f"demand ({n_procs} procs, {bb_bytes} B) is not held over [{start}, {end})"
+            )
 
     # -- queries -----------------------------------------------------------
 
@@ -127,7 +117,7 @@ class AvailabilityProfile:
         return self._free_p[i], self._free_b[i]
 
     def has_capacity(self, n_procs: int, bb_bytes: int, start: int, end: int) -> bool:
-        """True if demand fits on top of existing reservations over [start, end)."""
+        """True if the demand fits in free capacity over all of [start, end)."""
         if n_procs > self.total_procs or bb_bytes > self.total_bb:
             return False
         times, fp, fb = self._times, self._free_p, self._free_b

@@ -314,7 +314,7 @@ class Simulation:
 
     def _finish(self, rj: RunningJob, now, killed: bool) -> None:
         job = rj.job
-        self.profile.remove(job.id)
+        self.profile.remove(rj.start, rj.start + job.walltime, job.n_procs, job.bb_total)
         self.free_compute.update(rj.nodes)
         for node, share in rj.bb_shares.items():
             self.bb_free[node] += share
@@ -370,13 +370,15 @@ class Simulation:
     # -- invariants ----------------------------------------------------------------
 
     def _check_invariants(self, now) -> None:
-        held = {r.job_id for r in self.profile.reservations()}
-        assert held == set(self.running), "profile must hold exactly the running jobs"
+        held = AvailabilityProfile(self.platform.n_procs, self.platform.total_bb)
+        for rj in self.running.values():
+            held.add(rj.start, rj.start + rj.job.walltime, rj.job.n_procs, rj.job.bb_total)
+        assert held == self.profile, "profile must hold exactly the running jobs"
         used_procs = sum(rj.job.n_procs for rj in self.running.values())
         used_bb = sum(rj.job.bb_total for rj in self.running.values())
-        assert used_procs <= self.platform.n_procs, "processor over-allocation"
-        assert used_bb <= self.platform.total_bb, "burst-buffer over-allocation"
+        # free counts are never negative, so these also rule out over-allocation
         assert len(self.free_compute) == self.platform.n_procs - used_procs
+        assert sum(self.bb_free.values()) == self.platform.total_bb - used_bb
         for node, free in self.bb_free.items():
             cap = self.platform.bb_capacity_per_node[node]
             assert 0 <= free <= cap, f"storage node {node} share out of range"

@@ -10,7 +10,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .availability import AvailabilityProfile, Reservation
+from .availability import AvailabilityProfile
 from .policies import CycleResult, SchedulerState, launch
 from .workload import JobSpec
 
@@ -75,8 +75,8 @@ def build_plan(
         else:
             start = work.earliest_slot(job.n_procs, bb, job.walltime, now)
         if k < len(known_starts) or k < len(jobs) - 1:
-            # the last searched job's reservation would never be queried
-            work.add(Reservation(job.id, start, start + job.walltime, job.n_procs, bb))
+            # the last searched job's demand would never be queried
+            work.add(start, start + job.walltime, job.n_procs, bb)
         starts[job.id] = start
         waits.append(start - job.submit_time)
     return ExecutionPlan(

@@ -100,17 +100,6 @@ class Platform:
     def total_bb(self) -> int:
         return sum(self.bb_capacity_per_node.values())
 
-    def node_name(self, node_id: int) -> str:
-        """Dragonfly-style name of a node id (metadata only)."""
-        cfg = self.config
-        per_router = cfg.nodes_per_router
-        per_chassis = cfg.routers_per_chassis * per_router
-        per_group = cfg.chassis_per_group * per_chassis
-        g, rest = divmod(node_id, per_group)
-        c, rest = divmod(rest, per_chassis)
-        r, n = divmod(rest, per_router)
-        return f"g{g}-c{c}-r{r}-n{n}"
-
 
 def build_platform(cfg: PlatformConfig) -> Platform:
     """Construct the platform deterministically from its configuration.

@@ -1,16 +1,16 @@
 """Queue-based schedulers: FCFS, filler, and EASY-backfilling variants.
 
-All policies operate on a SchedulerState whose profile holds a reservation
-for every executing job and nothing else. Launching a job means adding its
-reservation (from now for its walltime) and removing it from the queue; any
-other reservation a policy makes lasts for its own pass only.
+All policies operate on a SchedulerState whose profile holds the demand of
+every executing job and nothing else. Launching a job takes its demand from
+now for its walltime and removes it from the queue; EASY's head reservation
+is added and removed again within its own pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .availability import AvailabilityProfile, Reservation
+from .availability import AvailabilityProfile
 from .workload import JobSpec
 
 POLICY_NAMES = ("fcfs", "fcfs-easy", "filler", "fcfs-bb", "sjf-bb", "plan")
@@ -63,9 +63,7 @@ class EasyGuaranteeViolation(AssertionError):
 
 
 def launch(state: SchedulerState, job: JobSpec) -> None:
-    state.profile.add(
-        Reservation(job.id, state.now, state.now + job.walltime, job.n_procs, job.bb_total)
-    )
+    state.profile.add(state.now, state.now + job.walltime, job.n_procs, job.bb_total)
     state.queue.remove(job)
 
 
@@ -123,12 +121,11 @@ def easy_schedule(
     start = state.profile.earliest_slot(
         head.n_procs, bb_demand, head.walltime, state.now
     )
-    state.profile.add(
-        Reservation(head.id, start, start + head.walltime, head.n_procs, bb_demand)
-    )
+    held = (start, start + head.walltime, head.n_procs, bb_demand)
+    state.profile.add(*held)
     candidates = sjf_sorted(state.queue[1:]) if cfg.order == "sjf" else state.queue[1:]
     result.launched += backfill_pass(state, candidates)
-    state.profile.remove(head.id)
+    state.profile.remove(*held)
     if validate:
         recomputed = state.profile.earliest_slot(
             head.n_procs, bb_demand, head.walltime, state.now

@@ -1,4 +1,4 @@
-"""Workload ingestion: SWF traces, burst-buffer synthesis, phase plans, parts."""
+"""Workload ingestion: SWF traces, burst-buffer synthesis, phase plans, workload files."""
 
 from __future__ import annotations
 
@@ -73,12 +73,6 @@ class PhasePlan:
         return len(self.compute_durations)
 
 
-@dataclass(frozen=True)
-class WorkloadPart:
-    index: int
-    jobs: tuple[JobSpec, ...]
-
-
 @dataclass
 class SwfParseResult:
     jobs: list[JobSpec]
@@ -151,39 +145,19 @@ def phase_plan_for(job: JobSpec) -> PhasePlan:
     )
 
 
-def generate_phases(job: JobSpec, seed: int) -> PhasePlan:
-    """Draw a phase count in 1..10 (capped so each phase lasts >= 1 s)."""
-    rng = _job_rng(seed, job.id, 1)
-    n = int(rng.integers(1, MAX_PHASES + 1))
-    n = min(n, job.runtime)
-    return phase_plan_for(replace(job, n_phases=n))
-
-
 def assign_phases(jobs: list[JobSpec], seed: int) -> list[JobSpec]:
-    """Set n_phases on every job from its generated phase plan."""
-    return [replace(j, n_phases=generate_phases(j, seed).n_phases) for j in jobs]
+    """Draw each job's phase count in 1..10, capped so each phase lasts >= 1 s."""
+    out = []
+    for job in jobs:
+        n = int(_job_rng(seed, job.id, 1).integers(1, MAX_PHASES + 1))
+        out.append(replace(job, n_phases=min(n, job.runtime)))
+    return out
 
 
 def part_index(submit_time: int) -> int | None:
     """Three-week part of a submit time, or None past the last part."""
     idx = submit_time // PART_SECONDS
     return idx if idx < N_PARTS else None
-
-
-def split_parts(jobs: list[JobSpec]) -> list[WorkloadPart]:
-    """Split into 16 non-overlapping three-week parts; re-base submit times.
-
-    Jobs beyond part 15 are discarded. Input must be sorted by submit time.
-    """
-    parts: list[list[JobSpec]] = [[] for _ in range(N_PARTS)]
-    for job in jobs:
-        idx = part_index(job.submit_time)
-        if idx is None:
-            continue
-        parts[idx].append(
-            replace(job, submit_time=job.submit_time - idx * PART_SECONDS)
-        )
-    return [WorkloadPart(index=i, jobs=tuple(p)) for i, p in enumerate(parts)]
 
 
 # -- workload files (JSON lines, versioned header) --------------------------

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import pytest
 
-from bbsim.availability import AvailabilityProfile, Reservation
+from bbsim.availability import AvailabilityProfile
 from bbsim.cli import main as cli_main
 from bbsim.engine import SimConfig, Simulation, run, simulate_transfers
 from bbsim.metrics import bounded_slowdown, waiting_time
@@ -99,10 +99,10 @@ def random_instance(rng, n_jobs, now=100):
     profile = AvailabilityProfile(total_procs, total_bb)
     for i in range(rng.randint(0, 4)):
         start = rng.randint(0, 200)
-        res = Reservation(1000 + i, start, start + rng.randint(1, 400),
-                          rng.randint(0, total_procs), rng.randint(0, total_bb))
-        if profile.has_capacity(res.n_procs, res.bb_bytes, res.start, res.end):
-            profile.add(res)
+        end = start + rng.randint(1, 400)
+        procs, bb = rng.randint(0, total_procs), rng.randint(0, total_bb)
+        if profile.has_capacity(procs, bb, start, end):
+            profile.add(start, end, procs, bb)
     queue = [
         JobSpec(id=i + 1, submit_time=rng.randint(0, now),
                 runtime=(w := rng.randint(1, 300)), walltime=w,
@@ -121,8 +121,7 @@ def oracle_best_score(queue, profile, now, alpha):
         total = 0
         for j in perm:
             start = prof.earliest_slot(j.n_procs, j.bb_total, j.walltime, now)
-            prof.add(Reservation(j.id, start, start + j.walltime,
-                                 j.n_procs, j.bb_total))
+            prof.add(start, start + j.walltime, j.n_procs, j.bb_total)
             total += (start - j.submit_time) ** alpha
         best = min(best, total)
     return best
@@ -188,10 +187,10 @@ def pruned_optimum(queue, profile, now, alpha):
             partial = acc + (start - j.submit_time) ** alpha
             if partial >= best:
                 continue
-            prof.add(Reservation(j.id, start, start + j.walltime,
-                                 j.n_procs, j.bb_total))
+            held = (start, start + j.walltime, j.n_procs, j.bb_total)
+            prof.add(*held)
             dfs(remaining[:i] + remaining[i + 1:], partial)
-            prof.remove(j.id)
+            prof.remove(*held)
 
     dfs(tuple(queue), 0)
     return best
@@ -229,22 +228,24 @@ def test_easy_guarantee_at_scale(report, platform96):
                               bb_model=DEFAULT_BB_MODEL)
     jobs = clamp_bb(jobs, platform96)
     # validate=True re-checks the head's reserved start after every backfill
-    # pass and every resource invariant (processors, total buffer, per-node
-    # buffer) after every event
+    # pass and, after every event, that the profile is the one the running
+    # jobs make and every resource invariant (processors, total buffer,
+    # per-node buffer)
     ok = True
-    for policy in ("fcfs-easy", "fcfs-bb"):
+    for policy in ("fcfs-easy", "fcfs-bb", "sjf-bb"):
         sim = Simulation(platform96, jobs, policy,
                          SimConfig(io_model="off", validate=True))
         records = sim.run()
         ok = ok and len(records) == 2000
-        if policy == "fcfs-bb":
+        if policy != "fcfs-easy":
             # the reservation covers both resources, so a promised start can
-            # only improve as jobs finish early; under fcfs-easy it cannot
-            # hold (backfilled jobs may take the buffer the head needs).
-            # launches happen on ticks, so round the promise up to one.
+            # only improve as jobs finish early, whatever order the backfill
+            # candidates come in; under fcfs-easy it cannot hold (backfilled
+            # jobs may take the buffer the head needs). launches happen on
+            # ticks, so round the promise up to one.
             tick = 60
             starts = {r.job_id: r.start for r in records}
-            ok = ok and all(
+            ok = ok and len(sim.head_reservations) > 0 and all(
                 starts[hr.job_id] <= -(-hr.start // tick) * tick
                 for _, hr in sim.head_reservations
             )

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -181,6 +182,35 @@ def test_events_ordered_by_exact_time_below_float_resolution(walltime, finish, k
     (r,) = run(small_platform(pfs_bw=P, bb=P), [job], "fcfs", SimConfig(validate=True))
     assert float(Fraction(101 * P + 1, P)) == 101.0
     assert (r.finish, r.killed) == (finish, killed)
+
+
+def launched_at_zero():
+    """A simulation whose first tick has launched two jobs (walltimes 1000 and 500)."""
+    jobs = [
+        one_job(runtime=100, procs=1, bb=3000),
+        replace(one_job(runtime=50, procs=2, bb=1000), id=2),
+    ]
+    sim = Simulation(small_platform(), jobs, "fcfs", IO_OFF)
+    sim.queue.extend(sim.jobs)
+    sim._on_tick(0)
+    assert set(sim.running) == {1, 2}
+    sim._check_invariants(0)
+    return sim
+
+
+def test_invariants_reject_demand_no_running_job_holds():
+    sim = launched_at_zero()
+    sim.profile.add(1000, 1600, 4, 0)  # a head reservation left behind
+    with pytest.raises(AssertionError, match="exactly the running jobs"):
+        sim._check_invariants(0)
+
+
+def test_invariants_reject_a_running_job_held_over_the_wrong_interval():
+    sim = launched_at_zero()
+    sim.profile.remove(0, 500, 2, 1000)  # job 2 holds [0, 500)
+    sim.profile.add(0, 560, 2, 1000)
+    with pytest.raises(AssertionError, match="exactly the running jobs"):
+        sim._check_invariants(0)
 
 
 TABLE1_EASY_STARTS = {1: 0, 2: 0, 6: 180, 3: 600, 7: 600}

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from bbsim.availability import AvailabilityProfile, Reservation
+from bbsim.availability import AvailabilityProfile
 from bbsim.planner import (
     AnnealConfig,
     SearchStats,
@@ -65,8 +65,8 @@ def test_build_plan_single_job_fits_now():
 
 def test_build_plan_table1_job3():
     profile = AvailabilityProfile(4, 10 * TB)
-    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
-    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
+    profile.add(0, 10 * MIN, 1, 4 * TB)
+    profile.add(0, 4 * MIN, 1, 2 * TB)
     j3 = table1_job(*TABLE1[2])
     plan = build_plan([j3], profile, now=1 * MIN, alpha=2)
     assert plan.starts == {3: 10 * MIN}
@@ -134,7 +134,7 @@ def test_exhaustive_evaluates_all_permutations():
 def test_exhaustive_beats_fcfs_on_contended_instance():
     # last-submitted shortest job should jump the queue under alpha=1
     profile = AvailabilityProfile(4, 0)
-    profile.add(Reservation(99, 0, 100, 3, 0))
+    profile.add(0, 100, 3, 0)
     queue = [
         job(1, submit=0, walltime=500, procs=4),
         job(2, submit=0, walltime=500, procs=4),
@@ -197,10 +197,10 @@ def test_prefix_replay_equals_scratch_build():
         profile = AvailabilityProfile(8, 10)
         for k in range(rng.randint(0, 4)):
             start = rng.randint(0, 80)
-            r = Reservation(100 + k, start, start + rng.randint(1, 200),
-                            rng.randint(0, 4), rng.randint(0, 5))
-            if profile.has_capacity(r.n_procs, r.bb_bytes, r.start, r.end):
-                profile.add(r)
+            end = start + rng.randint(1, 200)
+            procs, bb = rng.randint(0, 4), rng.randint(0, 5)
+            if profile.has_capacity(procs, bb, start, end):
+                profile.add(start, end, procs, bb)
         incumbent_order = rng.sample(queue, n)
         incumbent = build_plan(incumbent_order, profile, 40, 2)
         i, j = rng.sample(range(n), 2)
@@ -268,14 +268,17 @@ def test_metropolis_zero_temperature_limit():
 
 def test_plan_schedule_exhaustive_path_and_future_reservation():
     profile = AvailabilityProfile(4, 10 * TB)
-    profile.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
-    profile.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
+    profile.add(0, 10 * MIN, 1, 4 * TB)
+    profile.add(0, 4 * MIN, 1, 2 * TB)
     j3 = table1_job(*TABLE1[2])
     state = SchedulerState(queue=[j3], profile=profile, now=1 * MIN)
     assert exhaustive([j3], profile, 1 * MIN, 2).starts[3] == 10 * MIN
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert result.launched == []
-    assert 3 not in profile  # a planned future start reserves nothing
+    expected = AvailabilityProfile(4, 10 * TB)
+    expected.add(0, 10 * MIN, 1, 4 * TB)
+    expected.add(0, 4 * MIN, 1, 2 * TB)
+    assert profile == expected  # a planned future start reserves nothing
     assert state.queue == [j3]
 
 
@@ -286,7 +289,10 @@ def test_plan_schedule_launches_now_jobs():
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert sorted(j.id for j in result.launched) == [1, 2]
     assert state.queue == []
-    assert sorted(r.job_id for r in state.profile.reservations()) == [1, 2]
+    expected = AvailabilityProfile(4, 0)
+    expected.add(0, 60, 1, 0)  # job 1
+    expected.add(0, 60, 1, 0)  # job 2
+    assert state.profile == expected
 
 
 def test_plan_schedule_empty_queue_is_noop():
@@ -303,10 +309,10 @@ def test_plan_matches_bruteforce_small_queue():
         profile = AvailabilityProfile(8, 10)
         for i in range(rng.randint(0, 3)):
             start = rng.randint(0, 100)
-            r = Reservation(100 + i, start, start + rng.randint(1, 200),
-                            rng.randint(0, 4), rng.randint(0, 5))
-            if profile.has_capacity(r.n_procs, r.bb_bytes, r.start, r.end):
-                profile.add(r)
+            end = start + rng.randint(1, 200)
+            procs, bb = rng.randint(0, 4), rng.randint(0, 5)
+            if profile.has_capacity(procs, bb, start, end):
+                profile.add(start, end, procs, bb)
         plan = exhaustive(queue, profile, 30, 2)
         brute = min(
             build_plan(list(p), profile, 30, 2).score

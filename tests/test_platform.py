@@ -100,9 +100,3 @@ def test_expected_capacity_closed_form_values():
 def test_sigma_must_be_positive():
     with pytest.raises(ConfigurationError):
         LogNormalModel(mu=0.0, sigma=0.0)
-
-
-def test_node_names_follow_topology():
-    p = build_platform(PlatformConfig())
-    assert p.node_name(0) == "g0-c0-r0-n0"
-    assert p.node_name(107) == "g2-c3-r2-n2"

@@ -1,6 +1,6 @@
 import pytest
 
-from bbsim.availability import AvailabilityProfile, Reservation
+from bbsim.availability import AvailabilityProfile
 from bbsim.policies import (
     PolicyConfig,
     SchedulerState,
@@ -30,7 +30,7 @@ def job(jid, submit=0, walltime=60, procs=1, bb=0, runtime=None):
 def state_with_running(queue, now, running=(), procs=4, bb=10 * TB):
     profile = AvailabilityProfile(procs, bb)
     for j in running:
-        profile.add(Reservation(j.id, 0, j.walltime, j.n_procs, j.bb_total))
+        profile.add(0, j.walltime, j.n_procs, j.bb_total)
     return SchedulerState(queue=list(queue), profile=profile, now=now)
 
 
@@ -103,7 +103,8 @@ def test_easy_bb_reserves_storage_for_head():
     res = result.head_reservation
     assert (res.job_id, res.start, res.n_procs, res.bb_bytes) == (3, 10 * MIN, 3, 8 * TB)
     # reservation is dropped again after the cycle
-    assert 3 not in state.profile
+    running_only = state_with_running([], now=1 * MIN, running=[jobs[1], jobs[2]])
+    assert state.profile == running_only.profile
 
 
 def test_easy_single_fitting_job_needs_no_reservation():
@@ -161,7 +162,8 @@ def test_filler_equals_fcfs_when_everything_fits():
 def test_filler_starves_wide_head():
     """Small jobs keep arriving; the 2-proc head never fits on a 2-proc cluster."""
     profile = AvailabilityProfile(2, 0)
-    profile.add(Reservation(999, 0, 30, 1, 0))
+    held = [(0, 30, 1, 0)]  # the intervals added and not yet removed
+    profile.add(*held[0])
     head = job(100, submit=0, procs=2, walltime=60)
     queue = [head]
     waits = []
@@ -169,10 +171,12 @@ def test_filler_starves_wide_head():
         now = cycle * 60
         # one new narrow job per cycle, overlapping the previous one
         queue.append(job(cycle, submit=now, procs=1, walltime=90))
-        for r in [r for r in profile.reservations() if r.end <= now]:
-            profile.remove(r.job_id)
+        for r in [r for r in held if r[1] <= now]:
+            profile.remove(*r)
+            held.remove(r)
         state = SchedulerState(queue=queue, profile=profile, now=now)
-        filler_schedule(state)
+        held += [(now, now + j.walltime, j.n_procs, j.bb_total)
+                 for j in filler_schedule(state).launched]
         assert head in state.queue
         waits.append(now - head.submit_time)
     assert waits == sorted(waits) and waits[-1] >= 11 * 60

@@ -7,7 +7,6 @@ from bbsim.availability import (
     AvailabilityProfile,
     CapacityError,
     InfeasibleError,
-    Reservation,
     allocate_bb,
     allocate_nodes,
 )
@@ -20,8 +19,8 @@ def table1_profile_at_t1():
     """State one minute in: job 1 holds (1 CPU, 4 TB) until t=10 min,
     job 2 holds (1 CPU, 2 TB) until t=4 min."""
     p = AvailabilityProfile(total_procs=4, total_bb=10 * TB)
-    p.add(Reservation(1, 0, 10 * MIN, 1, 4 * TB))
-    p.add(Reservation(2, 0, 4 * MIN, 1, 2 * TB))
+    p.add(0, 10 * MIN, 1, 4 * TB)
+    p.add(0, 4 * MIN, 1, 2 * TB)
     return p
 
 
@@ -53,32 +52,79 @@ def test_infeasible_demand_raises():
 def test_add_then_remove_restores_profile():
     p = table1_profile_at_t1()
     before = (p.breakpoints(), [p.free_at(t) for t in p.breakpoints()])
-    p.add(Reservation(3, 10 * MIN, 11 * MIN, 3, 8 * TB))
-    p.remove(3)
+    p.add(10 * MIN, 11 * MIN, 3, 8 * TB)
+    p.remove(10 * MIN, 11 * MIN, 3, 8 * TB)
     after = (p.breakpoints(), [p.free_at(t) for t in p.breakpoints()])
     assert before == after
 
 
 def test_capacity_boundary():
     p = AvailabilityProfile(96, 0)
-    p.add(Reservation(1, 0, 100, 48, 0))
-    p.add(Reservation(2, 0, 100, 48, 0))
+    p.add(0, 100, 48, 0)
+    p.add(0, 100, 48, 0)
     with pytest.raises(CapacityError):
-        p.add(Reservation(3, 50, 150, 1, 0))
-    p.add(Reservation(4, 100, 200, 96, 0))  # adjacent interval is fine
+        p.add(50, 150, 1, 0)
+    p.add(100, 200, 96, 0)  # adjacent interval is fine
+
+
+def test_empty_interval_rejected():
+    p = table1_profile_at_t1()
+    before = p.copy()
+    for start, end in ((5 * MIN, 5 * MIN), (20 * MIN, 20 * MIN), (4 * MIN, 0)):
+        with pytest.raises(ValueError):
+            p.add(start, end, 1, TB)
+        with pytest.raises(ValueError):
+            p.remove(start, end, 1, TB)
+    assert p == before
+
+
+def test_negative_demand_rejected():
+    p = table1_profile_at_t1()
+    before = p.copy()
+    for procs, bb in ((-1, 0), (0, -TB)):
+        with pytest.raises(ValueError):
+            p.add(0, 1 * MIN, procs, bb)
+        with pytest.raises(ValueError):
+            p.remove(0, 1 * MIN, procs, bb)
+    assert p == before
+
+
+def test_remove_of_demand_not_held_is_rejected():
+    """A remove may not lift free capacity above the totals anywhere in its window."""
+    p = table1_profile_at_t1()
+    before = p.copy()
+    p.remove(0, 10 * MIN, 1, 4 * TB)  # job 1 ends
+    with pytest.raises(CapacityError):  # and is removed a second time
+        p.remove(0, 10 * MIN, 1, 4 * TB)
+    with pytest.raises(CapacityError):  # job 2's processor is held over [0, 4 min) only
+        p.remove(0, 5 * MIN, 1, 0)
+    with pytest.raises(CapacityError):  # nothing is held after 4 min
+        p.remove(20 * MIN, 30 * MIN, 0, 1)
+    p.add(0, 10 * MIN, 1, 4 * TB)
+    assert p == before  # the rejected removes left nothing behind
+
+
+def test_equality_is_over_the_step_function():
+    p = table1_profile_at_t1()
+    q = AvailabilityProfile(total_procs=4, total_bb=10 * TB)
+    q.add(0, 4 * MIN, 1, 2 * TB)  # the same demand, added in the other order
+    q.add(0, 10 * MIN, 1, 4 * TB)
+    assert p == q
+    q.add(10 * MIN, 11 * MIN, 1, 0)
+    assert p != q
+    assert p != AvailabilityProfile(4, 10 * TB + 1)
 
 
 def test_reserve_on_table1_state_free_bb():
     p = table1_profile_at_t1()
-    p.add(Reservation(3, 10 * MIN, 11 * MIN, 3, 8 * TB))
+    p.add(10 * MIN, 11 * MIN, 3, 8 * TB)
     # at t=10 jobs 1 and 2 are done; only the new 8 TB reservation is held
     free_procs, free_bb = p.free_at(10 * MIN)
     assert free_bb == 2 * TB
     assert free_procs == 1
-    # independent re-summation over all reservations at t=10
-    used = sum(
-        r.bb_bytes for r in p.reservations() if r.start <= 10 * MIN < r.end
-    )
+    # independent re-summation over all held intervals at t=10
+    held = [(0, 10 * MIN, 1, 4 * TB), (0, 4 * MIN, 1, 2 * TB), (10 * MIN, 11 * MIN, 3, 8 * TB)]
+    used = sum(bb for start, end, _, bb in held if start <= 10 * MIN < end)
     assert 10 * TB - used == free_bb
 
 
@@ -131,15 +177,14 @@ reservation_lists = st.lists(
 def test_incremental_free_matches_resummation(specs):
     p = AvailabilityProfile(8, 10)
     added = []
-    for i, (start, dur, procs, bb) in enumerate(specs):
-        r = Reservation(i, start, start + dur, procs, bb)
-        if p.has_capacity(procs, bb, r.start, r.end):
-            p.add(r)
-            added.append(r)
-    checkpoints = sorted({t for r in added for t in (r.start, r.end)})
+    for start, dur, procs, bb in specs:
+        if p.has_capacity(procs, bb, start, start + dur):
+            p.add(start, start + dur, procs, bb)
+            added.append((start, start + dur, procs, bb))
+    checkpoints = sorted({t for start, end, _, _ in added for t in (start, end)})
     for t in checkpoints:
-        used_p = sum(r.n_procs for r in added if r.start <= t < r.end)
-        used_b = sum(r.bb_bytes for r in added if r.start <= t < r.end)
+        used_p = sum(procs for start, end, procs, _ in added if start <= t < end)
+        used_b = sum(bb for start, end, _, bb in added if start <= t < end)
         free_p, free_b = p.free_at(t)
         assert free_p == 8 - used_p
         assert free_b == 10 - used_b
@@ -156,9 +201,9 @@ def test_incremental_free_matches_resummation(specs):
 @settings(max_examples=200)
 def test_earliest_slot_is_tight(specs, procs, bb, duration, not_before):
     p = AvailabilityProfile(8, 10)
-    for i, (start, dur, rp, rb) in enumerate(specs):
+    for start, dur, rp, rb in specs:
         if p.has_capacity(rp, rb, start, start + dur):
-            p.add(Reservation(i, start, start + dur, rp, rb))
+            p.add(start, start + dur, rp, rb)
     t = p.earliest_slot(procs, bb, duration, not_before)
     assert t >= not_before
     assert p.has_capacity(procs, bb, t, t + duration)
@@ -178,10 +223,11 @@ class BruteForceProfile:
         self.used_p = [0] * horizon
         self.used_b = [0] * horizon
 
-    def apply(self, r, sign):
-        for t in range(r.start, r.end):
-            self.used_p[t] += sign * r.n_procs
-            self.used_b[t] += sign * r.bb_bytes
+    def apply(self, held, sign):
+        start, end, procs, bb = held
+        for t in range(start, end):
+            self.used_p[t] += sign * procs
+            self.used_b[t] += sign * bb
 
     def free_at(self, t):
         return self.total_procs - self.used_p[t], self.total_bb - self.used_b[t]
@@ -191,6 +237,11 @@ class BruteForceProfile:
             self.used_p[t] + procs <= self.total_procs
             and self.used_b[t] + bb <= self.total_bb
             for t in range(start, end)
+        )
+
+    def holds(self, procs, bb, start, end):
+        return all(
+            self.used_p[t] >= procs and self.used_b[t] >= bb for t in range(start, end)
         )
 
     def earliest_slot(self, procs, bb, duration, not_before):
@@ -220,6 +271,13 @@ oracle_ops = st.lists(
             st.integers(0, 10),  # bb units
         ),
         st.tuples(st.just("remove"), st.integers(0, 30)),  # which held reservation
+        st.tuples(
+            st.just("phantom"),  # a remove of demand that need not be held
+            st.integers(0, ORACLE_LAST_END - 1),
+            st.integers(1, 20),
+            st.integers(0, 8),
+            st.integers(0, 10),
+        ),
     ),
     max_size=30,
 )
@@ -239,26 +297,33 @@ oracle_queries = st.lists(
 @settings(max_examples=150, deadline=None)
 def test_profile_matches_per_second_oracle(ops, queries):
     """Every query agrees with a per-second array after each add and remove,
-    and breakpoints are exactly the seconds where free capacity changes."""
+    a remove of demand that is not held fails and changes nothing, and
+    breakpoints are exactly the seconds where free capacity changes."""
     p = AvailabilityProfile(*ORACLE_TOTALS)
     # everything is free from ORACLE_LAST_END on, so no slot starts later
     # than ORACLE_MAX_START
     oracle = BruteForceProfile(*ORACLE_TOTALS, ORACLE_MAX_START + ORACLE_MAX_DURATION)
-    held: list[Reservation] = []
-    for n, op in enumerate(ops):
+    held: list[tuple[int, int, int, int]] = []  # the intervals added and not yet removed
+    for op in ops:
         if op[0] == "add":
             _, start, duration, procs, bb = op
-            r = Reservation(n, start, min(start + duration, ORACLE_LAST_END), procs, bb)
-            if oracle.has_capacity(procs, bb, r.start, r.end):
-                p.add(r)
+            r = (start, min(start + duration, ORACLE_LAST_END), procs, bb)
+            if oracle.has_capacity(procs, bb, r[0], r[1]):
+                p.add(*r)
                 held.append(r)
                 oracle.apply(r, +1)
             else:
                 with pytest.raises(CapacityError):
-                    p.add(r)
+                    p.add(*r)
+        elif op[0] == "phantom":
+            _, start, duration, procs, bb = op
+            end = min(start + duration, ORACLE_LAST_END)
+            if not oracle.holds(procs, bb, start, end):
+                with pytest.raises(CapacityError):
+                    p.remove(start, end, procs, bb)
         elif held:
             r = held.pop(op[1] % len(held))
-            assert p.remove(r.job_id) == r
+            p.remove(*r)
             oracle.apply(r, -1)
         assert p.breakpoints() == oracle.breakpoints()
         for t in range(ORACLE_LAST_END + 1):

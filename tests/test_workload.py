@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from bbsim.platform import LogNormalModel
 from bbsim.workload import (
-    PART_SECONDS,
     JobSpec,
     SwfParseError,
-    generate_phases,
+    assign_phases,
     parse_swf,
     phase_plan_for,
     read_workload,
-    split_parts,
     synthesize_bb,
     synthetic_workload,
     write_workload,
@@ -111,7 +109,7 @@ def test_phase_plan_remainder_to_last():
 def test_generate_phases_caps_at_runtime():
     job = JobSpec(id=1, submit_time=0, runtime=5, walltime=5, n_procs=1)
     for seed in range(30):
-        plan = generate_phases(job, seed)
+        plan = phase_plan_for(assign_phases([job], seed)[0])
         assert 1 <= plan.n_phases <= 5
         assert all(d >= 1 for d in plan.compute_durations)
 
@@ -120,33 +118,9 @@ def test_generate_phases_caps_at_runtime():
 @settings(max_examples=100)
 def test_phase_durations_sum_to_runtime(runtime, seed):
     job = JobSpec(id=1, submit_time=0, runtime=runtime, walltime=runtime, n_procs=1)
-    plan = generate_phases(job, seed)
+    plan = phase_plan_for(assign_phases([job], seed)[0])
     assert sum(plan.compute_durations) == runtime
     assert all(d > 0 for d in plan.compute_durations)
-
-
-def test_split_parts_boundaries():
-    def job(jid, submit):
-        return JobSpec(id=jid, submit_time=submit, runtime=60, walltime=60, n_procs=1)
-
-    parts = split_parts([job(1, 0), job(2, PART_SECONDS), job(3, 17 * PART_SECONDS)])
-    assert len(parts) == 16
-    assert [j.id for j in parts[0].jobs] == [1]
-    assert parts[1].jobs[0].id == 2 and parts[1].jobs[0].submit_time == 0
-    assert all(3 not in [j.id for j in p.jobs] for p in parts)
-
-
-@given(st.lists(st.integers(0, 20 * PART_SECONDS), max_size=200))
-def test_split_parts_accounting(submits):
-    jobs = [
-        JobSpec(id=i, submit_time=s, runtime=60, walltime=60, n_procs=1)
-        for i, s in enumerate(sorted(submits))
-    ]
-    parts = split_parts(jobs)
-    in_range = sum(1 for s in submits if s < 16 * PART_SECONDS)
-    assert sum(len(p.jobs) for p in parts) == in_range <= len(jobs)
-    for p in parts:
-        assert all(0 <= j.submit_time < PART_SECONDS for j in p.jobs)
 
 
 @given(

@@ -73,35 +73,41 @@ class AvailabilityProfile:
             self._free_b.insert(i, self._free_b[i - 1])
         return i
 
-    def _apply(self, start: int, end: int, dp: int, db: int) -> None:
-        """Add (dp, db) to free capacity over [start, end), start < end."""
+    def _apply(self, start: int, end: int, dp: int, db: int) -> bool:
+        """Add (dp, db) to free capacity over [start, end), start < end.
+
+        Returns False, changing nothing, if free capacity would leave [0, totals].
+        """
         times, fp, fb = self._times, self._free_p, self._free_b
         i, j = self._split(start), self._split(end)
-        for k in range(i, j):
+        for k in range(i, j):  # not empty, as start < end
             fp[k] += dp
             fb[k] += db
+            ok = 0 <= fp[k] <= self.total_procs and 0 <= fb[k] <= self.total_bb
+            if not ok:
+                for m in range(i, k + 1):  # undo
+                    fp[m] -= dp
+                    fb[m] -= db
+                break
         # only the two ends can have become redundant; j first keeps i valid
         for k in (j, i):
             if fp[k] == fp[k - 1] and fb[k] == fb[k - 1]:
                 del times[k], fp[k], fb[k]
+        return ok
 
     def add(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Take the demand from free capacity over [start, end)."""
         _check_demand(start, end, n_procs, bb_bytes)
-        if not self.has_capacity(n_procs, bb_bytes, start, end):
+        if not self._apply(start, end, -n_procs, -bb_bytes):
             raise CapacityError(
                 f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity "
                 f"over [{start}, {end})"
             )
-        self._apply(start, end, -n_procs, -bb_bytes)
 
     def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Give back demand that add took over [start, end)."""
         _check_demand(start, end, n_procs, bb_bytes)
-        self._apply(start, end, n_procs, bb_bytes)
-        # only [start, end) changed, so a step above the totals lies in it
-        if max(self._free_p) > self.total_procs or max(self._free_b) > self.total_bb:
-            self._apply(start, end, -n_procs, -bb_bytes)  # undo
+        if not self._apply(start, end, n_procs, bb_bytes):
             raise CapacityError(
                 f"demand ({n_procs} procs, {bb_bytes} B) is not held over [{start}, {end})"
             )

@@ -277,12 +277,21 @@ def cmd_gantt(args) -> int:
     ends: dict[int, float] = {}
     try:
         with open(args.trace) as f:
-            for line in f:
-                entry = json.loads(line)
-                if entry["event"] == "launch":
-                    launches[entry["job"]] = entry
-                elif entry["event"] in ("finish", "kill"):
-                    ends[entry["job"]] = entry["t"]
+            for line_no, line in enumerate(f, start=1):
+                try:
+                    entry = json.loads(line)
+                    event = entry["event"]
+                    if event in ("launch", "finish", "kill"):
+                        job, t = entry["job"], entry["t"]
+                        if event == "launch":
+                            launches[job] = entry
+                        else:
+                            ends[job] = t
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise InputError(
+                        f"{args.trace}: line {line_no} is not a trace event "
+                        f"({type(exc).__name__}: {exc})"
+                    ) from exc
     except OSError as exc:
         raise InputError(str(exc)) from exc
     for entry in launches.values():

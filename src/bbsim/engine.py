@@ -7,6 +7,11 @@ compute link rate without cross-job contention. Transfer accounting uses
 rational arithmetic, so completions are byte-exact. Events run in order of
 exact time, then event priority, then push order; the heap key leads with the
 time as a float only so that most comparisons are one float comparison.
+
+No superseded event is popped: the link's next completion waits in one slot
+beside the heap and is overwritten at each change of the link, and scheduler
+ticks run only while jobs wait. Phase, checkpoint and walltime events carry
+the job id alone, so a job that has ended ignores them.
 """
 
 from __future__ import annotations
@@ -47,6 +52,9 @@ class SimConfig:
     collect_trace: bool = False
 
     def __post_init__(self):
+        for name in ("tick_period_s", "seed"):
+            if type(getattr(self, name)) is not int:  # refuses bool, an int subclass, too
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.io_model not in ("on", "off"):
             raise ValueError("io_model must be 'on' or 'off'")
         if self.tick_period_s <= 0:
@@ -64,7 +72,6 @@ class FairShareLink:
         self.bw = bandwidth
         self.active: dict = {}  # key -> remaining bytes (Fraction)
         self.last = 0
-        self.version = 0  # bumped whenever the set of active transfers changes
 
     def advance(self, now) -> None:
         assert now >= self.last, "link time must not move backwards"
@@ -77,13 +84,10 @@ class FairShareLink:
     def add(self, now, key, total: int) -> None:
         self.advance(now)
         self.active[key] = Fraction(total)
-        self.version += 1
 
     def remove(self, now, key) -> Fraction:
         self.advance(now)
-        remaining = self.active.pop(key)
-        self.version += 1
-        return remaining
+        return self.active.pop(key)
 
     def next_completion(self):
         if not self.active:
@@ -98,8 +102,6 @@ class FairShareLink:
         for key in finished:
             remaining = self.active.pop(key)
             assert remaining == 0, "transfer completion must be byte-exact"
-        if finished:
-            self.version += 1
         return finished
 
 
@@ -161,16 +163,19 @@ class Simulation:
         self.plan_stats: list[SearchStats] = []
         self._heap: list = []
         self._seq = 0
+        self._link_next: tuple | None = None  # key of the link's next completion
         self._tick_at: int | None = None
-        self._pending_submissions = 0
 
     # -- event machinery -----------------------------------------------------
 
-    def _push(self, time, event: int, payload=None) -> None:
+    def _key(self, time, event: int, payload) -> tuple:
         # float(time) only speeds up comparisons: it is monotone in time, and
         # the exact time breaks ties between equal floats
-        heapq.heappush(self._heap, (float(time), time, event, self._seq, payload))
         self._seq += 1
+        return (float(time), time, event, self._seq, payload)
+
+    def _push(self, time, event: int, payload=None) -> None:
+        heapq.heappush(self._heap, self._key(time, event, payload))
 
     def _schedule_tick(self, at: int) -> None:
         if self._tick_at is None or at < self._tick_at:
@@ -184,11 +189,12 @@ class Simulation:
     def run(self) -> list[JobRecord]:
         for job in self.jobs:
             self._push(job.submit_time, JOB_SUBMITTED, job)
-            self._pending_submissions += 1
-        if self.jobs:
-            self._schedule_tick(0)
-        while self._heap:
-            _, now, event, _, payload = heapq.heappop(self._heap)
+        while self._heap or self._link_next:
+            if self._link_next and (not self._heap or self._link_next < self._heap[0]):
+                key, self._link_next = self._link_next, None
+            else:
+                key = heapq.heappop(self._heap)
+            _, now, event, _, payload = key
             self._dispatch(now, event, payload)
             if self.cfg.validate:
                 self._check_invariants(now)
@@ -198,7 +204,6 @@ class Simulation:
 
     def _dispatch(self, now, event: int, payload) -> None:
         if event == JOB_SUBMITTED:
-            self._pending_submissions -= 1
             self.queue.append(payload)
             self._trace(now, "submit", job=payload.id)
             tick = self.cfg.tick_period_s
@@ -206,25 +211,16 @@ class Simulation:
         elif event == SCHEDULER_TICK:
             self._tick_at = None
             self._on_tick(now)
-        elif event == WALLTIME_EXPIRED:
-            if payload in self.running:
-                self._kill(self.running[payload], now)
-        elif event == PHASE_COMPLETE:
-            job_id, phase = payload
-            rj = self.running.get(job_id)
-            if rj is not None and rj.phase == phase and not rj.compute_done:
+        elif payload is None:  # the link's next completion
+            self._on_pfs_completions(now)
+        elif payload in self.running:  # else the job has ended
+            rj = self.running[payload]
+            if event == WALLTIME_EXPIRED:
+                self._kill(rj, now)
+            elif event == PHASE_COMPLETE:
                 self._on_phase_complete(rj, now)
-        elif event == TRANSFER_COMPLETE:
-            tag, value = payload
-            if tag == "pfs":
-                if value == self.link.version:
-                    self._on_pfs_completions(now)
-            else:  # checkpoint dump, uncontended; None if the job was killed
-                rj = self.running.get(value)
-                if rj is not None:
-                    self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
-        else:
-            raise AssertionError(f"unknown event {event}")
+            else:  # checkpoint dump to the burst buffer, uncontended
+                self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -233,15 +229,14 @@ class Simulation:
         if self.policy_name == "plan":
             stats = SearchStats()
             result = plan_schedule(state, self.anneal_cfg, self.rng, stats)
-            if state.queue or result.launched:
-                self.plan_stats.append(stats)
+            self.plan_stats.append(stats)
         else:
             result = run_policy(state, self.policy_cfg, validate=self.cfg.validate)
         if result.head_reservation is not None:
             self.head_reservations.append((now, result.head_reservation))
         for job in result.launched:
             self._start_job(job, now)
-        if self.queue or self.running or self._pending_submissions:
+        if self.queue:
             self._schedule_tick(now + self.cfg.tick_period_s)
 
     def _start_job(self, job: JobSpec, now: int) -> None:
@@ -274,7 +269,7 @@ class Simulation:
     def _start_phase(self, rj: RunningJob, now, phase: int) -> None:
         rj.phase = phase
         duration = rj.plan.compute_durations[phase - 1]
-        self._push(now + duration, PHASE_COMPLETE, (rj.job.id, phase))
+        self._push(now + duration, PHASE_COMPLETE, rj.job.id)
 
     def _on_phase_complete(self, rj: RunningJob, now) -> None:
         if rj.phase < rj.plan.n_phases:
@@ -282,7 +277,7 @@ class Simulation:
             bytes_ = rj.plan.checkpoint_bytes
             if bytes_ > 0:
                 done = now + Fraction(bytes_, self.platform.compute_link_bw)
-                self._push(done, TRANSFER_COMPLETE, ("ckpt", rj.job.id))
+                self._push(done, TRANSFER_COMPLETE, rj.job.id)
             else:
                 self._after_checkpoint(rj, now, 0)
         else:
@@ -349,8 +344,7 @@ class Simulation:
 
     def _schedule_next_pfs_completion(self) -> None:
         at = self.link.next_completion()
-        if at is not None:
-            self._push(at, TRANSFER_COMPLETE, ("pfs", self.link.version))
+        self._link_next = None if at is None else self._key(at, TRANSFER_COMPLETE, None)
 
     def _on_pfs_completions(self, now) -> None:
         finished = self.link.finished_ids(now)
@@ -364,8 +358,7 @@ class Simulation:
             if role == "drain" and rj.drains_pending:  # completion scheduled below
                 self.link.add(now, (job_id, "drain"), rj.drains_pending.popleft())
             self._maybe_finish(rj, now)
-        if finished:
-            self._schedule_next_pfs_completion()
+        self._schedule_next_pfs_completion()
 
     # -- invariants ----------------------------------------------------------------
 

@@ -130,6 +130,9 @@ def read_records(stream: TextIO) -> list[JobRecord]:
     if first != RECORDS_HEADER:
         raise ValueError(f"not a bbsim records file (header {first!r})")
     reader = csv.DictReader(stream)
+    missing = [c for c in RECORD_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"records file lacks column(s) {', '.join(missing)}")
     out = []
     for row in reader:
         out.append(

@@ -43,6 +43,8 @@ class JobSpec:
             # type(...) is int refuses bool, an int subclass, too
             if type(value) is not int and (value is not None or name != "bb_total_bytes"):
                 raise ValueError(f"job {self.id!r}: {name} must be an integer, got {value!r}")
+        if self.submit_time < 0:
+            raise ValueError(f"job {self.id}: submit_time must be non-negative")
         if self.runtime <= 0:
             raise ValueError(f"job {self.id}: runtime must be positive")
         if self.walltime < self.runtime:
@@ -83,8 +85,9 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
     """Parse a Standard Workload Format trace into JobSpecs (bb fields unset).
 
     Field mapping (1-indexed SWF): submit=2, runtime=4, processors=8 with
-    fallback to 5 when -1, walltime=9 with fallback to runtime. Records with
-    non-positive runtime or processor count are dropped and counted.
+    fallback to 5 when -1, walltime=9 with fallback to runtime. Records with a
+    negative submit time or a non-positive runtime or processor count are
+    dropped and counted.
     """
     jobs: list[JobSpec] = []
     dropped = 0
@@ -102,7 +105,7 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
         job_id, submit, runtime = values[0], values[1], values[3]
         n_procs = values[7] if values[7] > 0 else values[4]
         walltime = values[8] if values[8] > 0 else runtime
-        if runtime <= 0 or n_procs <= 0:
+        if submit < 0 or runtime <= 0 or n_procs <= 0:
             dropped += 1
             continue
         jobs.append(

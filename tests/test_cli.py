@@ -198,6 +198,20 @@ def test_simulate_fractional_times_are_input_error(tmp_path, table1_config, caps
     assert "job 1: submit_time must be an integer" in capsys.readouterr().err
 
 
+def test_simulate_negative_submit_time_is_input_error(tmp_path, table1_config, capsys):
+    # the link's clock starts at 0, so with io on this used to end as an internal error
+    workload = write_raw_workload(tmp_path / "w.jsonl",
+                                  {"format": "bbsim-workload", "version": 1},
+                                  [dict(JOB, submit_time=-100)])
+    argv = ["simulate", "--workload", str(workload), "--config", str(table1_config),
+            "--io-model", "on", "-o", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "job 1: submit_time must be non-negative" in err
+
+
 @pytest.mark.parametrize("document, message", [
     ({"platform": {"bogus": 1}}, "bogus"),
     ({"platform": {"bb_request_model": {"mu": 1.0}}}, "sigma"),
@@ -253,6 +267,25 @@ def test_from_manifest_names_each_missing_key(tmp_path, table1_workload, table1_
         assert err.startswith("error: ") and f"lacks '{key}'" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("tick_period_s", 1.5), ("tick_period_s", True), ("tick_period_s", "60"),
+    ("seed", 1.5), ("seed", "abc"), ("seed", True),
+])
+def test_from_manifest_non_integer_tick_or_seed_is_input_error(
+        tmp_path, table1_workload, table1_config, capsys, key, value):
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{key} must be an integer" in err
+
+
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):
     # the second record is submitted in part 17, past the sixteen parts
     records = tmp_path / "r.csv"
@@ -301,6 +334,25 @@ def test_analyze_no_records(tmp_path, capsys):
     empty.write_text("# bbsim-records v1\njob_id,submit,start,finish,n_procs,bb_total,killed,policy\n")
     assert main(["analyze", str(empty), "-o", str(tmp_path / "out")]) == 1
     assert "no records" in capsys.readouterr().err
+
+
+def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
+    records = tmp_path / "r.csv"
+    records.write_text("# bbsim-records v1\njob_id,submit,start\n1,0,0\n")
+    assert main(["analyze", str(records), "-o", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "finish, n_procs, bb_total, killed, policy" in err
+
+
+@pytest.mark.parametrize("line", ['{"t": 0}', "[1, 2]", '{"event": "finish", "job": 1}'])
+def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"t": 0.0, "event": "submit", "job": 1}\n' + line + "\n")
+    assert main(["gantt", str(trace), "-o", str(tmp_path / "gantt.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 2 is not a trace event" in err
 
 
 def test_gantt_rows_per_node(tmp_path, table1_config):

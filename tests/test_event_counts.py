@@ -1,0 +1,56 @@
+"""Every benchmark run dispatches a pinned number of events, and only live ones.
+
+The engine pops no superseded event: the link's next completion lives in one
+slot, and a scheduler tick runs only while a job waits. A change that brings
+back stale link events or idle ticks moves these counts, so it fails here
+without a timing bound. A change that lowers a count updates the pin.
+"""
+
+import pytest
+
+from test_reference_records import bench, inputs
+
+Simulation = bench.bbsim.engine.Simulation
+
+# Simulation._dispatch calls per run
+DISPATCHED = {
+    "backfill-pressure": {
+        "fcfs": 2193, "filler": 2005, "fcfs-easy": 2160,
+        "fcfs-bb": 2014, "sjf-bb": 2040, "plan": 231,
+    },
+    "io-lifecycle": {
+        "fcfs": 5042, "filler": 5017, "fcfs-easy": 5038,
+        "fcfs-bb": 4956, "sjf-bb": 4945, "plan": 991,
+    },
+    "plan-anneal": {
+        "fcfs": 546, "filler": 501, "fcfs-easy": 529,
+        "fcfs-bb": 508, "sjf-bb": 504, "plan": 499,
+    },
+}
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_dispatched_events(workload, policy, monkeypatch):
+    dispatched = 0
+    queue_at_tick: list[int] = []
+    dispatch, on_tick = Simulation._dispatch, Simulation._on_tick
+
+    def counting_dispatch(self, *args):
+        nonlocal dispatched
+        dispatched += 1
+        return dispatch(self, *args)
+
+    def recording_tick(self, now):
+        queue_at_tick.append(len(self.queue))
+        return on_tick(self, now)
+
+    monkeypatch.setattr(Simulation, "_dispatch", counting_dispatch)
+    monkeypatch.setattr(Simulation, "_on_tick", recording_tick)
+    platform, jobs = inputs(workload)
+    cfg = bench.bbsim.engine.SimConfig(
+        io_model=bench.WORKLOADS[workload].io_model, seed=bench.SIM_SEED
+    )
+    Simulation(platform, jobs[policy], policy, cfg).run()
+    assert dispatched == DISPATCHED[workload][policy]
+    assert queue_at_tick and min(queue_at_tick) > 0, "a tick ran with no job waiting"

@@ -48,9 +48,15 @@ def test_walltime_fallback_to_runtime():
 
 
 def test_invalid_records_dropped_and_counted():
-    result = parse_swf([swf_record(runtime=-1), swf_record(req=-1, alloc=0), swf_record()])
+    result = parse_swf([swf_record(runtime=-1), swf_record(req=-1, alloc=0),
+                        swf_record(submit=-100), swf_record()])
     assert len(result.jobs) == 1
-    assert result.n_dropped == 2
+    assert result.n_dropped == 3
+
+
+def test_jobspec_rejects_negative_submit_time():
+    with pytest.raises(ValueError, match="job 7: submit_time must be non-negative"):
+        JobSpec(id=7, submit_time=-100, runtime=5, walltime=5, n_procs=1)
 
 
 def test_malformed_field_count_reports_line():

@@ -152,7 +152,7 @@ class Simulation:
                 )
 
         self.profile = AvailabilityProfile(platform.n_procs, platform.total_bb)
-        self.queue: list[JobSpec] = []
+        self.queue: dict[int, JobSpec] = {}  # pending jobs by id, in arrival order
         self.running: dict[int, RunningJob] = {}
         self.free_compute = set(platform.compute_nodes)
         self.bb_free = dict(platform.bb_capacity_per_node)
@@ -204,7 +204,7 @@ class Simulation:
 
     def _dispatch(self, now, event: int, payload) -> None:
         if event == JOB_SUBMITTED:
-            self.queue.append(payload)
+            self.queue[payload.id] = payload
             self._trace(now, "submit", job=payload.id)
             tick = self.cfg.tick_period_s
             self._schedule_tick(-(-now // tick) * tick)

@@ -135,6 +135,11 @@ def read_records(stream: TextIO) -> list[JobRecord]:
         raise ValueError(f"records file lacks column(s) {', '.join(missing)}")
     out = []
     for row in reader:
+        # DictReader files extra fields under the key None and fills missing ones with None
+        if None in row or None in row.values():
+            raise ValueError(
+                f"records line {reader.line_num + 1}: expected {len(reader.fieldnames)} fields"
+            )
         out.append(
             JobRecord(
                 job_id=int(row["job_id"]),

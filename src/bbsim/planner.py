@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from dataclasses import dataclass, field
 
@@ -25,6 +26,13 @@ class AnnealConfig:
     m_steps: int = 6  # constant-temperature steps
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            # type(...) is int refuses bool, an int subclass, too
+            if name in ("n_cooling", "m_steps") and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):  # nan and inf are not real numbers
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0 < self.r < 1:
             raise ValueError("cooling rate must be in (0, 1)")
         if self.n_cooling < 1 or self.m_steps < 1:
@@ -197,13 +205,12 @@ def plan_schedule(
     if not state.queue:
         return result
     if len(state.queue) <= EXHAUSTIVE_THRESHOLD:
-        plan = exhaustive(state.queue, state.profile, state.now, cfg.alpha, stats)
+        plan = exhaustive(list(state.queue.values()), state.profile, state.now, cfg.alpha, stats)
     else:
-        plan = anneal(state.queue, state.profile, state.now, cfg, rng, stats)
-    jobs_by_id = {j.id: j for j in state.queue}
+        plan = anneal(list(state.queue.values()), state.profile, state.now, cfg, rng, stats)
     for jid in plan.permutation:
-        job = jobs_by_id[jid]
         if plan.starts[jid] == state.now:
+            job = state.queue[jid]
             launch(state, job)
             result.launched.append(job)
     return result

@@ -1,9 +1,9 @@
 """Queue-based schedulers: FCFS, filler, and EASY-backfilling variants.
 
-All policies operate on a SchedulerState whose profile holds the demand of
-every executing job and nothing else. Launching a job takes its demand from
-now for its walltime and removes it from the queue; EASY's head reservation
-is added and removed again within its own pass.
+All policies operate on a SchedulerState: its profile holds the demand of
+every executing job and nothing else, and its queue maps pending job ids to
+jobs in arrival order. Launching a job takes its demand from now for its
+walltime and deletes its id; EASY's head reservation lives for one pass.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ class PolicyConfig:
 
 @dataclass
 class SchedulerState:
-    queue: list[JobSpec]  # pending jobs in arrival order
+    queue: dict[int, JobSpec]  # pending jobs by id, in arrival order
     profile: AvailabilityProfile
     now: int
 
@@ -64,7 +64,7 @@ class EasyGuaranteeViolation(AssertionError):
 
 def launch(state: SchedulerState, job: JobSpec) -> None:
     state.profile.add(state.now, state.now + job.walltime, job.n_procs, job.bb_total)
-    state.queue.remove(job)
+    del state.queue[job.id]
 
 
 def _fits_now(state: SchedulerState, job: JobSpec) -> bool:
@@ -76,27 +76,28 @@ def _fits_now(state: SchedulerState, job: JobSpec) -> bool:
 def fcfs_pass(state: SchedulerState) -> list[JobSpec]:
     """Launch queue-order jobs that fit now; stop at the first that does not."""
     launched = []
-    for job in list(state.queue):
-        if _fits_now(state, job):
-            launch(state, job)
-            launched.append(job)
-        else:
+    for job in list(state.queue.values()):  # launch deletes from the queue
+        if not _fits_now(state, job):
             break
+        launch(state, job)
+        launched.append(job)
     return launched
 
 
 def backfill_pass(state: SchedulerState, candidates: list[JobSpec]) -> list[JobSpec]:
     """Launch every candidate that fits now without touching any reservation.
 
-    Candidates must be queued jobs, each listed once. Feasibility over the
-    job's whole walltime window means an allocation can never overlap a
-    future reservation already in the profile.
+    Candidates must be queued jobs, each listed once. Checking the whole
+    walltime window keeps allocations clear of future reservations; a
+    candidate over the free capacity at now fails that check, so is skipped.
     """
     launched = []
+    free_procs, free_bb = state.profile.free_at(state.now)
     for job in candidates:
-        if _fits_now(state, job):
+        if job.n_procs <= free_procs and job.bb_total <= free_bb and _fits_now(state, job):
             launch(state, job)
             launched.append(job)
+            free_procs, free_bb = state.profile.free_at(state.now)
     return launched
 
 
@@ -116,14 +117,14 @@ def easy_schedule(
     result = CycleResult(launched=fcfs_pass(state))
     if not state.queue:
         return result
-    head = state.queue[0]
+    head, *rest = state.queue.values()
     bb_demand = head.bb_total if cfg.reserve_bb else 0
     start = state.profile.earliest_slot(
         head.n_procs, bb_demand, head.walltime, state.now
     )
     held = (start, start + head.walltime, head.n_procs, bb_demand)
     state.profile.add(*held)
-    candidates = sjf_sorted(state.queue[1:]) if cfg.order == "sjf" else state.queue[1:]
+    candidates = sjf_sorted(rest) if cfg.order == "sjf" else rest
     result.launched += backfill_pass(state, candidates)
     state.profile.remove(*held)
     if validate:
@@ -141,7 +142,7 @@ def easy_schedule(
 
 def filler_schedule(state: SchedulerState) -> CycleResult:
     """Greedy first-fit in arrival order, no reservations at all."""
-    return CycleResult(launched=backfill_pass(state, list(state.queue)))
+    return CycleResult(launched=backfill_pass(state, list(state.queue.values())))
 
 
 def run_policy(

@@ -286,6 +286,28 @@ def test_from_manifest_non_integer_tick_or_seed_is_input_error(
     assert f"{key} must be an integer" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("sa_n", "30", "n_cooling must be an integer"),
+    ("sa_m", 1.5, "m_steps must be an integer"),
+    ("sa_m", True, "m_steps must be an integer"),
+    ("alpha", "2", "alpha must be a real number"),
+    ("sa_r", True, "r must be a real number"),
+])
+def test_from_manifest_wrong_anneal_field_type_is_input_error(
+        tmp_path, table1_workload, table1_config, capsys, key, value, message):
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv", policy="plan")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):
     # the second record is submitted in part 17, past the sixteen parts
     records = tmp_path / "r.csv"

@@ -191,7 +191,7 @@ def launched_at_zero():
         replace(one_job(runtime=50, procs=2, bb=1000), id=2),
     ]
     sim = Simulation(small_platform(), jobs, "fcfs", IO_OFF)
-    sim.queue.extend(sim.jobs)
+    sim.queue.update((j.id, j) for j in sim.jobs)
     sim._on_tick(0)
     assert set(sim.running) == {1, 2}
     sim._check_invariants(0)

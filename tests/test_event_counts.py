@@ -4,6 +4,10 @@ The engine pops no superseded event: the link's next completion lives in one
 slot, and a scheduler tick runs only while a job waits. A change that brings
 back stale link events or idle ticks moves these counts, so it fails here
 without a timing bound. A change that lowers a count updates the pin.
+
+The profile's window checks are pinned the same way: a backfill pass asks
+has_capacity only about candidates within the free capacity at now, and the
+queue drops a launched job by its id, so no run compares two jobs.
 """
 
 import pytest
@@ -11,6 +15,17 @@ import pytest
 from test_reference_records import bench, inputs
 
 Simulation = bench.bbsim.engine.Simulation
+AvailabilityProfile = bench.bbsim.availability.AvailabilityProfile
+JobSpec = bench.bbsim.workload.JobSpec
+
+
+def run(workload, policy):
+    platform, jobs = inputs(workload)
+    cfg = bench.bbsim.engine.SimConfig(
+        io_model=bench.WORKLOADS[workload].io_model, seed=bench.SIM_SEED
+    )
+    Simulation(platform, jobs[policy], policy, cfg).run()
+
 
 # Simulation._dispatch calls per run
 DISPATCHED = {
@@ -47,10 +62,39 @@ def test_dispatched_events(workload, policy, monkeypatch):
 
     monkeypatch.setattr(Simulation, "_dispatch", counting_dispatch)
     monkeypatch.setattr(Simulation, "_on_tick", recording_tick)
-    platform, jobs = inputs(workload)
-    cfg = bench.bbsim.engine.SimConfig(
-        io_model=bench.WORKLOADS[workload].io_model, seed=bench.SIM_SEED
-    )
-    Simulation(platform, jobs[policy], policy, cfg).run()
+    run(workload, policy)
     assert dispatched == DISPATCHED[workload][policy]
     assert queue_at_tick and min(queue_at_tick) > 0, "a tick ran with no job waiting"
+
+
+# AvailabilityProfile.has_capacity calls per run; plan asks earliest_slot only
+HAS_CAPACITY = {
+    "backfill-pressure": {
+        "fcfs": 1188, "filler": 500, "fcfs-easy": 1155,
+        "fcfs-bb": 2616, "sjf-bb": 2679, "plan": 0,
+    },
+    "io-lifecycle": {
+        "fcfs": 827, "filler": 300, "fcfs-easy": 811,
+        "fcfs-bb": 989, "sjf-bb": 1019, "plan": 0,
+    },
+}
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+@pytest.mark.parametrize("workload", sorted(HAS_CAPACITY))
+def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
+    calls = {"has_capacity": 0, "__eq__": 0}
+    has_capacity, eq = AvailabilityProfile.has_capacity, JobSpec.__eq__
+
+    def counting_has_capacity(self, *args):
+        calls["has_capacity"] += 1
+        return has_capacity(self, *args)
+
+    def counting_eq(self, other):
+        calls["__eq__"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(AvailabilityProfile, "has_capacity", counting_has_capacity)
+    monkeypatch.setattr(JobSpec, "__eq__", counting_eq)
+    run(workload, policy)
+    assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}

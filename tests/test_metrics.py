@@ -130,3 +130,14 @@ def test_read_records_rejects_unknown_header():
     buf = io.StringIO("# something else\njob_id\n")
     with pytest.raises(ValueError):
         read_records(buf)
+
+
+@pytest.mark.parametrize("row", ["1,0,0", "1,0,0,10,1,0,0,fcfs,extra"])
+def test_read_records_rejects_missing_or_extra_fields(row):
+    buf = io.StringIO(
+        "# bbsim-records v1\n"
+        "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+        "1,0,0,10,1,0,0,fcfs\n" + row + "\n"
+    )
+    with pytest.raises(ValueError, match="^records line 4: expected 8 fields$"):
+        read_records(buf)

@@ -95,6 +95,20 @@ def test_build_plan_deterministic():
     assert plans[0] == plans[1]
 
 
+@pytest.mark.parametrize("field, value, kind", [
+    ("n_cooling", "30", "an integer"), ("n_cooling", 1.5, "an integer"),
+    ("n_cooling", True, "an integer"), ("m_steps", 1.5, "an integer"),
+    ("m_steps", True, "an integer"), ("alpha", "2", "a real number"),
+    ("alpha", True, "a real number"), ("r", "0.9", "a real number"),
+    ("r", None, "a real number"), ("r", False, "a real number"),
+    ("alpha", math.nan, "a real number"), ("alpha", math.inf, "a real number"),
+    ("r", math.nan, "a real number"),
+])
+def test_anneal_config_rejects_wrong_field_types(field, value, kind):
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+        AnnealConfig(**{field: value})
+
+
 def test_initial_candidates_identical_jobs():
     queue = [job(i) for i in range(1, 5)]
     for cand in initial_candidates(queue):
@@ -271,7 +285,7 @@ def test_plan_schedule_exhaustive_path_and_future_reservation():
     profile.add(0, 10 * MIN, 1, 4 * TB)
     profile.add(0, 4 * MIN, 1, 2 * TB)
     j3 = table1_job(*TABLE1[2])
-    state = SchedulerState(queue=[j3], profile=profile, now=1 * MIN)
+    state = SchedulerState(queue={3: j3}, profile=profile, now=1 * MIN)
     assert exhaustive([j3], profile, 1 * MIN, 2).starts[3] == 10 * MIN
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert result.launched == []
@@ -279,16 +293,16 @@ def test_plan_schedule_exhaustive_path_and_future_reservation():
     expected.add(0, 10 * MIN, 1, 4 * TB)
     expected.add(0, 4 * MIN, 1, 2 * TB)
     assert profile == expected  # a planned future start reserves nothing
-    assert state.queue == [j3]
+    assert state.queue == {3: j3}
 
 
 def test_plan_schedule_launches_now_jobs():
     state = SchedulerState(
-        queue=[job(1), job(2)], profile=AvailabilityProfile(4, 0), now=0
+        queue={1: job(1), 2: job(2)}, profile=AvailabilityProfile(4, 0), now=0
     )
     result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
     assert sorted(j.id for j in result.launched) == [1, 2]
-    assert state.queue == []
+    assert state.queue == {}
     expected = AvailabilityProfile(4, 0)
     expected.add(0, 60, 1, 0)  # job 1
     expected.add(0, 60, 1, 0)  # job 2
@@ -296,7 +310,7 @@ def test_plan_schedule_launches_now_jobs():
 
 
 def test_plan_schedule_empty_queue_is_noop():
-    state = SchedulerState(queue=[], profile=AvailabilityProfile(4, 0), now=0)
+    state = SchedulerState(queue={}, profile=AvailabilityProfile(4, 0), now=0)
     result = plan_schedule(state, AnnealConfig(), random.Random(0))
     assert result.launched == []
 

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbsim.availability import AvailabilityProfile
+from bbsim.availability import AvailabilityProfile, CapacityError
 from bbsim.policies import (
     PolicyConfig,
     SchedulerState,
@@ -8,6 +10,7 @@ from bbsim.policies import (
     easy_schedule,
     fcfs_pass,
     filler_schedule,
+    launch,
     run_policy,
     sjf_sorted,
 )
@@ -31,7 +34,7 @@ def state_with_running(queue, now, running=(), procs=4, bb=10 * TB):
     profile = AvailabilityProfile(procs, bb)
     for j in running:
         profile.add(0, j.walltime, j.n_procs, j.bb_total)
-    return SchedulerState(queue=list(queue), profile=profile, now=now)
+    return SchedulerState(queue={j.id: j for j in queue}, profile=profile, now=now)
 
 
 def table1():
@@ -69,7 +72,7 @@ def test_fcfs_stops_at_blocked_head():
     running = [job(99, procs=1, walltime=600)]
     state = state_with_running([blocked, feasible], now=0, running=running)
     assert fcfs_pass(state) == []
-    assert [j.id for j in state.queue] == [1, 2]
+    assert [j.id for j in state.queue.values()] == [1, 2]
 
 
 def test_backfill_has_no_stop_rule():
@@ -77,9 +80,9 @@ def test_backfill_has_no_stop_rule():
     fits = job(2, procs=1, bb=0, walltime=60)
     running = [job(99, procs=1, bb=TB, walltime=600)]
     state = state_with_running([too_much_bb, fits], now=0, running=running)
-    launched = backfill_pass(state, list(state.queue))
+    launched = backfill_pass(state, list(state.queue.values()))
     assert [j.id for j in launched] == [2]
-    assert [j.id for j in state.queue] == [1]
+    assert [j.id for j in state.queue.values()] == [1]
 
 
 def test_easy_backfills_job6_at_t3():
@@ -92,7 +95,7 @@ def test_easy_backfills_job6_at_t3():
     # job 3 reserved processors-only at t=4 min (jobs 4 and 5 would delay it)
     assert result.head_reservation.start == 4 * MIN
     assert result.head_reservation.bb_bytes == 0
-    assert [j.id for j in state.queue] == [3, 4, 5]
+    assert [j.id for j in state.queue.values()] == [3, 4, 5]
 
 
 def test_easy_bb_reserves_storage_for_head():
@@ -140,7 +143,7 @@ def test_sjf_head_requeued_at_front():
     running = [job(99, procs=2, walltime=1200)]
     state = state_with_running([head, short], now=0, running=running)
     easy_schedule(state, PolicyConfig.from_name("sjf-bb"), validate=True)
-    assert state.queue[0].id == 1
+    assert next(iter(state.queue.values())).id == 1
 
 
 def test_filler_table1_t1_launches_nothing():
@@ -165,19 +168,19 @@ def test_filler_starves_wide_head():
     held = [(0, 30, 1, 0)]  # the intervals added and not yet removed
     profile.add(*held[0])
     head = job(100, submit=0, procs=2, walltime=60)
-    queue = [head]
+    queue = {head.id: head}
     waits = []
     for cycle in range(12):
         now = cycle * 60
         # one new narrow job per cycle, overlapping the previous one
-        queue.append(job(cycle, submit=now, procs=1, walltime=90))
+        queue[cycle] = job(cycle, submit=now, procs=1, walltime=90)
         for r in [r for r in held if r[1] <= now]:
             profile.remove(*r)
             held.remove(r)
         state = SchedulerState(queue=queue, profile=profile, now=now)
         held += [(now, now + j.walltime, j.n_procs, j.bb_total)
                  for j in filler_schedule(state).launched]
-        assert head in state.queue
+        assert head in state.queue.values()
         waits.append(now - head.submit_time)
     assert waits == sorted(waits) and waits[-1] >= 11 * 60
 
@@ -188,3 +191,69 @@ def test_run_policy_dispatch():
     result = run_policy(state, PolicyConfig.from_name("fcfs"))
     assert [j.id for j in result.launched] == [1, 2]
     assert result.head_reservation is None
+
+
+# -- the backfill pass against its unfiltered loop ------------------------------
+
+
+def unfiltered_backfill_pass(state, candidates):
+    """The pass without its skip: the profile decides every candidate."""
+    launched = []
+    for job in candidates:
+        if state.profile.has_capacity(
+            job.n_procs, job.bb_total, state.now, state.now + job.walltime
+        ):
+            launch(state, job)
+            launched.append(job)
+    return launched
+
+
+ORACLE_PROCS, ORACLE_BB = 6, 8
+# times stay within a few seconds of each other, so that demand often starts
+# or ends right at now, next to it, or where a candidate's walltime ends
+demands = st.tuples(
+    st.integers(1, ORACLE_PROCS), st.integers(0, ORACLE_BB), st.integers(1, 8)
+)
+
+
+@given(
+    now=st.integers(0, 10),
+    held=st.lists(
+        st.tuples(st.integers(0, 16), st.integers(1, 8),
+                  st.integers(0, ORACLE_PROCS), st.integers(0, ORACLE_BB)),
+        max_size=6,
+    ),
+    head=st.one_of(st.none(), st.tuples(demands, st.integers(1, 4))),
+    jobs=st.lists(
+        st.tuples(st.integers(1, ORACLE_PROCS + 1), st.integers(0, ORACLE_BB + 1),
+                  st.integers(1, 8)),
+        max_size=10,
+    ),
+)
+@settings(max_examples=1000, deadline=None)
+def test_backfill_pass_matches_unfiltered_loop(now, held, head, jobs):
+    """Same launches in the same order, the same profile and the same queue.
+
+    The profile holds random demand before, at and after now, and often a
+    head reservation placed as EASY places it, some time after now, so free
+    capacity after now rises and falls again.
+    """
+    profile = AvailabilityProfile(ORACLE_PROCS, ORACLE_BB)
+    for start, duration, procs, bb in held:
+        try:
+            profile.add(start, start + duration, procs, bb)
+        except CapacityError:
+            pass  # more demand than the platform has; leave it out
+    if head is not None:
+        (procs, bb, walltime), gap = head
+        start = profile.earliest_slot(procs, bb, walltime, now + gap)
+        profile.add(start, start + walltime, procs, bb)
+    queue = [job(i, walltime=w, procs=p, bb=b) for i, (p, b, w) in enumerate(jobs, 1)]
+    states = [
+        SchedulerState({j.id: j for j in queue}, profile.copy(), now) for _ in range(2)
+    ]
+    launched = backfill_pass(states[0], queue)
+    expected = unfiltered_backfill_pass(states[1], queue)
+    assert [j.id for j in launched] == [j.id for j in expected]
+    assert states[0].profile == states[1].profile
+    assert list(states[0].queue) == list(states[1].queue)

@@ -156,6 +156,10 @@ def cmd_simulate(args) -> int:
             raise InputError(
                 f"{args.from_manifest}: manifest config lacks {', '.join(map(repr, missing))}"
             )
+        if not isinstance(config["workload"], str):
+            raise InputError(f"{args.from_manifest}: 'workload' must be a file path")
+        if config["policy"] not in POLICY_NAMES:
+            raise InputError(f"{args.from_manifest}: unknown policy {config['policy']!r}")
         if _sha256(config["workload"]) != manifest["workload_sha256"]:
             raise InputError("workload file changed since the manifest was written")
         _run_simulation(config, args.output, args.trace)
@@ -205,6 +209,8 @@ METRICS = {"waiting_time": waiting_time, "bounded_slowdown": bounded_slowdown}
 
 
 def cmd_analyze(args) -> int:
+    if args.tail < 0:
+        raise InputError(f"--tail must be non-negative, got {args.tail}")
     records: list[JobRecord] = []
     for path in args.records:
         with open(path) as f:
@@ -273,6 +279,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gantt(args) -> int:
+    if args.first is not None and args.first < 1:
+        raise InputError(f"--first must be at least 1, got {args.first}")
     launches: dict[int, dict] = {}
     ends: dict[int, float] = {}
     try:
@@ -301,9 +309,7 @@ def cmd_gantt(args) -> int:
             )
     rows = []
     ordered = sorted(launches.values(), key=lambda e: (e["t"], e["job"]))
-    if args.first:
-        ordered = ordered[: args.first]
-    for entry in ordered:
+    for entry in ordered[: args.first]:
         job = entry["job"]
         finish = ends.get(job, math.nan)
         shares = {int(k): v for k, v in entry.get("bb_shares", {}).items()}

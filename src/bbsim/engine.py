@@ -1,17 +1,21 @@
 """Deterministic discrete-event simulation of the cluster.
 
-Job lifecycle: stage-in -> compute phases interleaved with checkpoints
-(drained asynchronously to the PFS) -> stage-out. All PFS-link transfers share
-bandwidth equally; checkpoint transfers (compute to burst buffer) run at the
-compute link rate without cross-job contention. Transfer accounting uses
-rational arithmetic, so completions are byte-exact. Events run in order of
-exact time, then event priority, then push order; the heap key leads with the
-time as a float only so that most comparisons are one float comparison.
+Job lifecycle: stage-in -> compute phases, each but the last ending in a
+checkpoint dump that is drained asynchronously to the PFS -> stage-out. Each
+of the three moves the job's burst-buffer request. The dump (compute to
+burst buffer) runs at the compute link rate without cross-job contention, so
+it is folded into its phase: one event ends both. All PFS-link transfers
+share bandwidth equally; a job's drains run one after another, so a new drain
+appends its bytes to the job's active one. Transfer accounting uses rational
+arithmetic, so completions are byte-exact. Events run in order of exact time,
+then event priority, then push order; the heap key leads with the time as a
+float only so that most comparisons are one float comparison.
 
 No superseded event is popped: the link's next completion waits in one slot
 beside the heap and is overwritten at each change of the link, and scheduler
-ticks run only while jobs wait. Phase, checkpoint and walltime events carry
-the job id alone, so a job that has ended ignores them.
+ticks run only while jobs wait. Phase and walltime events carry the job id
+alone, so a job that has ended ignores them. A job that moves no bytes ends
+within its walltime, so it gets no walltime event.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .availability import (
@@ -32,7 +36,7 @@ from .metrics import JobRecord
 from .planner import AnnealConfig, SearchStats, plan_schedule
 from .platform import Platform
 from .policies import PolicyConfig, SchedulerState, run_policy
-from .workload import JobSpec, PhasePlan, phase_plan_for
+from .workload import JobSpec, phase_durations
 
 # event priorities: at equal timestamps, completions run before the
 # scheduler so freed resources are visible to the same tick, and a job whose
@@ -82,8 +86,10 @@ class FairShareLink:
         self.last = now
 
     def add(self, now, key, total: int) -> None:
+        """Start a transfer, or append its bytes to key's active transfer."""
         self.advance(now)
-        self.active[key] = Fraction(total)
+        remaining = self.active.get(key)
+        self.active[key] = Fraction(total) if remaining is None else remaining + total
 
     def remove(self, now, key) -> Fraction:
         self.advance(now)
@@ -108,12 +114,12 @@ class FairShareLink:
 @dataclass
 class RunningJob:
     job: JobSpec
-    plan: PhasePlan
+    io_bytes: int  # bytes of the stage-in, each checkpoint and the stage-out; 0 with io off
+    phases: tuple  # phase durations, each but the last including its checkpoint dump
     nodes: list[int]
     bb_shares: dict[int, int]
     start: int
-    phase: int = 0  # current compute phase (1-based); 0 while staging in
-    drains_pending: deque = field(default_factory=deque)  # FIFO behind the active drain
+    phase: int = 0  # current phase (1-based); 0 while staging in
     compute_done: bool = False
 
 
@@ -217,10 +223,8 @@ class Simulation:
             rj = self.running[payload]
             if event == WALLTIME_EXPIRED:
                 self._kill(rj, now)
-            elif event == PHASE_COMPLETE:
+            else:
                 self._on_phase_complete(rj, now)
-            else:  # checkpoint dump to the burst buffer, uncontended
-                self._after_checkpoint(rj, now, rj.plan.checkpoint_bytes)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -245,22 +249,25 @@ class Simulation:
         shares = allocate_bb(self.bb_free, job.bb_total)
         for node, share in shares.items():
             self.bb_free[node] -= share
-        if self.cfg.io_model == "off":  # same lifecycle, no bytes moved
-            plan = PhasePlan((job.runtime,), 0, 0, 0)
-        else:
-            plan = phase_plan_for(job)
+        io_bytes = job.bb_total if self.cfg.io_model == "on" else 0
+        phases = (job.runtime,)  # with no checkpoint, the phases run back to back
+        if io_bytes:
+            dump = Fraction(io_bytes, self.platform.compute_link_bw)
+            *head, last = phase_durations(job)
+            phases = (*(d + dump for d in head), last)
         rj = RunningJob(
             job=job,
-            plan=plan,
+            io_bytes=io_bytes,
+            phases=phases,
             nodes=nodes,
             bb_shares={n: s for n, s in shares.items() if s},
             start=now,
         )
         self.running[job.id] = rj
         self._trace(now, "launch", job=job.id, nodes=nodes, bb_shares=rj.bb_shares)
-        self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
-        if rj.plan.stage_in_bytes > 0:
-            self._start_pfs_transfer(now, (job.id, "in"), rj.plan.stage_in_bytes)
+        if io_bytes:  # else the job ends at start + runtime, within its walltime
+            self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
+            self._start_pfs_transfer(now, (job.id, "in"), io_bytes)
         else:
             self._start_phase(rj, now, 1)
 
@@ -268,43 +275,18 @@ class Simulation:
 
     def _start_phase(self, rj: RunningJob, now, phase: int) -> None:
         rj.phase = phase
-        duration = rj.plan.compute_durations[phase - 1]
-        self._push(now + duration, PHASE_COMPLETE, rj.job.id)
+        self._push(now + rj.phases[phase - 1], PHASE_COMPLETE, rj.job.id)
 
     def _on_phase_complete(self, rj: RunningJob, now) -> None:
-        if rj.phase < rj.plan.n_phases:
-            # checkpoint: compute suspended until the dump to BB completes
-            bytes_ = rj.plan.checkpoint_bytes
-            if bytes_ > 0:
-                done = now + Fraction(bytes_, self.platform.compute_link_bw)
-                self._push(done, TRANSFER_COMPLETE, rj.job.id)
-            else:
-                self._after_checkpoint(rj, now, 0)
-        else:
+        if rj.phase < len(rj.phases):
+            # the checkpoint dump is in the burst buffer: drain it to the PFS
+            # while the next phase computes
+            self._start_pfs_transfer(now, (rj.job.id, "drain"), rj.io_bytes)
+            self._start_phase(rj, now, rj.phase + 1)
+        elif rj.io_bytes:
             rj.compute_done = True
-            bytes_ = rj.plan.stage_out_bytes
-            if bytes_ > 0:
-                self._start_pfs_transfer(now, (rj.job.id, "out"), bytes_)
-            else:
-                self._maybe_finish(rj, now)
-
-    def _after_checkpoint(self, rj: RunningJob, now, drain_bytes: int) -> None:
-        # drain to PFS asynchronously; next compute phase starts concurrently
-        if drain_bytes > 0:
-            if (rj.job.id, "drain") in self.link.active:
-                rj.drains_pending.append(drain_bytes)
-            else:
-                self._start_pfs_transfer(now, (rj.job.id, "drain"), drain_bytes)
-        self._start_phase(rj, now, rj.phase + 1)
-
-    def _maybe_finish(self, rj: RunningJob, now) -> None:
-        job_id = rj.job.id
-        if (
-            rj.compute_done
-            and (job_id, "out") not in self.link.active
-            and (job_id, "drain") not in self.link.active
-            and not rj.drains_pending
-        ):
+            self._start_pfs_transfer(now, (rj.job.id, "out"), rj.io_bytes)
+        else:
             self._finish(rj, now, killed=False)
 
     def _finish(self, rj: RunningJob, now, killed: bool) -> None:
@@ -354,10 +336,12 @@ class Simulation:
                 continue
             if role == "in":
                 self._start_phase(rj, now, 1)
-                continue
-            if role == "drain" and rj.drains_pending:  # completion scheduled below
-                self.link.add(now, (job_id, "drain"), rj.drains_pending.popleft())
-            self._maybe_finish(rj, now)
+            elif (
+                rj.compute_done
+                and (job_id, "out") not in self.link.active
+                and (job_id, "drain") not in self.link.active
+            ):
+                self._finish(rj, now, killed=False)
         self._schedule_next_pfs_completion()
 
     # -- invariants ----------------------------------------------------------------

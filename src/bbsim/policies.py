@@ -113,17 +113,27 @@ def easy_schedule(
     The head reservation covers processors only, or processors and burst
     buffers when cfg.reserve_bb is set. SJF order applies to the backfill
     candidates only; the head stays at the front of the queue either way.
+    With no processor free at now beside those the head holds, no candidate
+    can start, so the backfill is skipped; the head reservation is reported.
     """
     result = CycleResult(launched=fcfs_pass(state))
     if not state.queue:
         return result
-    head, *rest = state.queue.values()
+    queued = iter(state.queue.values())
+    head = next(queued)
     bb_demand = head.bb_total if cfg.reserve_bb else 0
     start = state.profile.earliest_slot(
         head.n_procs, bb_demand, head.walltime, state.now
     )
+    result.head_reservation = HeadReservation(head.id, start, head.n_procs, bb_demand)
+    free_procs = state.profile.free_at(state.now)[0]
+    if start == state.now:
+        free_procs -= head.n_procs
+    if free_procs == 0:  # every job needs a processor
+        return result
     held = (start, start + head.walltime, head.n_procs, bb_demand)
     state.profile.add(*held)
+    rest = list(queued)
     candidates = sjf_sorted(rest) if cfg.order == "sjf" else rest
     result.launched += backfill_pass(state, candidates)
     state.profile.remove(*held)
@@ -136,7 +146,6 @@ def easy_schedule(
                 f"head job {head.id}: reserved start {start}, "
                 f"post-backfill earliest slot {recomputed}"
             )
-    result.head_reservation = HeadReservation(head.id, start, head.n_procs, bb_demand)
     return result
 
 

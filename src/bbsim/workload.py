@@ -1,4 +1,4 @@
-"""Workload ingestion: SWF traces, burst-buffer synthesis, phase plans, workload files."""
+"""Workload ingestion: SWF traces, burst-buffer synthesis, phase durations, workload files."""
 
 from __future__ import annotations
 
@@ -63,18 +63,6 @@ class JobSpec:
         return self.n_procs * self.bb_per_proc
 
 
-@dataclass(frozen=True)
-class PhasePlan:
-    compute_durations: tuple[int, ...]
-    checkpoint_bytes: int  # after each phase except the last
-    stage_in_bytes: int
-    stage_out_bytes: int
-
-    @property
-    def n_phases(self) -> int:
-        return len(self.compute_durations)
-
-
 @dataclass
 class SwfParseResult:
     jobs: list[JobSpec]
@@ -135,17 +123,10 @@ def synthesize_bb(jobs: list[JobSpec], model: LogNormalModel, seed: int) -> list
     return out
 
 
-def phase_plan_for(job: JobSpec) -> PhasePlan:
-    """Phase plan implied by a job's phase count: even split, remainder to last."""
-    n = job.n_phases
-    base, rem = divmod(job.runtime, n)
-    durations = [base] * (n - 1) + [base + rem]
-    return PhasePlan(
-        compute_durations=tuple(durations),
-        checkpoint_bytes=job.bb_total,
-        stage_in_bytes=job.bb_total,
-        stage_out_bytes=job.bb_total,
-    )
+def phase_durations(job: JobSpec) -> tuple[int, ...]:
+    """Compute time of each of a job's phases: even split, remainder to the last."""
+    base, rem = divmod(job.runtime, job.n_phases)
+    return (base,) * (job.n_phases - 1) + (base + rem,)
 
 
 def assign_phases(jobs: list[JobSpec], seed: int) -> list[JobSpec]:

@@ -308,6 +308,26 @@ def test_from_manifest_wrong_anneal_field_type_is_input_error(
     assert message in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("workload", ["table1.jsonl"], "'workload' must be a file path"),
+    ("policy", ["fcfs"], "unknown policy ['fcfs']"),
+    ("policy", "fifo", "unknown policy 'fifo'"),
+])
+def test_from_manifest_bad_workload_or_policy_is_input_error(
+        tmp_path, table1_workload, table1_config, capsys, key, value, message):
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"][key] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):
     # the second record is submitted in part 17, past the sixteen parts
     records = tmp_path / "r.csv"
@@ -358,6 +378,17 @@ def test_analyze_no_records(tmp_path, capsys):
     assert "no records" in capsys.readouterr().err
 
 
+def test_analyze_negative_tail_is_input_error(tmp_path, table1_workload,
+                                             table1_config, capsys):
+    path = simulate_table1(tmp_path, table1_workload, table1_config, "r.csv")
+    capsys.readouterr()
+    outdir = tmp_path / "analysis"
+    assert main(["analyze", str(path), "--tail", "-2", "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--tail" in err
+    assert not outdir.exists()
+
+
 def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     records = tmp_path / "r.csv"
     records.write_text("# bbsim-records v1\njob_id,submit,start\n1,0,0\n")
@@ -402,6 +433,20 @@ def test_gantt_includes_bb_share_rows(tmp_path, table1_workload, table1_config):
     assert all(line.split(",")[0] == "1" for line in lines)
     bb_rows = [l for l in lines if int(l.split(",")[4]) > 0]
     assert sum(int(l.split(",")[4]) for l in bb_rows) == 4 * 10**12
+
+
+@pytest.mark.parametrize("first", ["0", "-1"])
+def test_gantt_first_below_one_is_input_error(tmp_path, table1_workload, table1_config,
+                                              capsys, first):
+    simulate_table1(tmp_path, table1_workload, table1_config, "records.csv",
+                    trace="trace.jsonl")
+    capsys.readouterr()
+    out = tmp_path / "gantt.csv"
+    assert main(["gantt", str(tmp_path / "trace.jsonl"), "-o", str(out),
+                 "--first", first]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "--first" in err
+    assert not out.exists()
 
 
 def test_gantt_empty_trace(tmp_path):

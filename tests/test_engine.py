@@ -324,3 +324,15 @@ def test_link_time_cannot_move_backwards():
     link.add(10, "a", 100)
     with pytest.raises(AssertionError):
         link.advance(5)
+
+
+def test_link_add_on_active_key_appends_bytes():
+    # 10 B/s shared by two: at t=4 each has moved 20 B, and a gets 50 B more
+    link = FairShareLink(10)
+    link.add(0, "a", 100)
+    link.add(0, "b", 100)
+    link.add(4, "a", 50)
+    assert link.active == {"a": 130, "b": 80}
+    assert link.next_completion() == 20
+    assert link.finished_ids(20) == ["b"]
+    assert link.next_completion() == 20 + Fraction(50, 10)

@@ -1,9 +1,12 @@
 """Every benchmark run dispatches a pinned number of events, and only live ones.
 
 The engine pops no superseded event: the link's next completion lives in one
-slot, and a scheduler tick runs only while a job waits. A change that brings
-back stale link events or idle ticks moves these counts, so it fails here
-without a timing bound. A change that lowers a count updates the pin.
+slot, and a scheduler tick runs only while a job waits. Each compute phase is
+one event, its checkpoint dump included; a job's queued drain joins its
+active one; a job that moves no bytes gets no walltime event. A change that
+brings back stale link events, idle ticks or a per-dump event moves these
+counts, so it fails here without a timing bound. A change that lowers a
+count updates the pin.
 
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
@@ -30,16 +33,16 @@ def run(workload, policy):
 # Simulation._dispatch calls per run
 DISPATCHED = {
     "backfill-pressure": {
-        "fcfs": 2193, "filler": 2005, "fcfs-easy": 2160,
-        "fcfs-bb": 2014, "sjf-bb": 2040, "plan": 231,
+        "fcfs": 1693, "filler": 1505, "fcfs-easy": 1660,
+        "fcfs-bb": 1514, "sjf-bb": 1540, "plan": 171,
     },
     "io-lifecycle": {
-        "fcfs": 5042, "filler": 5017, "fcfs-easy": 5038,
-        "fcfs-bb": 4956, "sjf-bb": 4945, "plan": 991,
+        "fcfs": 3955, "filler": 3914, "fcfs-easy": 3937,
+        "fcfs-bb": 3860, "sjf-bb": 3850, "plan": 770,
     },
     "plan-anneal": {
-        "fcfs": 546, "filler": 501, "fcfs-easy": 529,
-        "fcfs-bb": 508, "sjf-bb": 504, "plan": 499,
+        "fcfs": 426, "filler": 381, "fcfs-easy": 409,
+        "fcfs-bb": 388, "sjf-bb": 384, "plan": 379,
     },
 }
 
@@ -65,6 +68,29 @@ def test_dispatched_events(workload, policy, monkeypatch):
     run(workload, policy)
     assert dispatched == DISPATCHED[workload][policy]
     assert queue_at_tick and min(queue_at_tick) > 0, "a tick ran with no job waiting"
+
+
+# Simulation._push calls per io-lifecycle run: the heap's events, the link's
+# completions (kept in their own slot) not included
+PUSHED = {
+    "fcfs": 2483, "filler": 2426, "fcfs-easy": 2456,
+    "fcfs-bb": 2384, "sjf-bb": 2376, "plan": 461,
+}
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+def test_heap_pushes(policy, monkeypatch):
+    pushed = 0
+    push = Simulation._push
+
+    def counting_push(self, *args):
+        nonlocal pushed
+        pushed += 1
+        return push(self, *args)
+
+    monkeypatch.setattr(Simulation, "_push", counting_push)
+    run("io-lifecycle", policy)
+    assert pushed == PUSHED[policy]
 
 
 # AvailabilityProfile.has_capacity calls per run; plan asks earliest_slot only

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbsim.policies
 from bbsim.availability import AvailabilityProfile, CapacityError
 from bbsim.policies import (
     PolicyConfig,
@@ -127,6 +128,27 @@ def test_reserve_bb_asymmetry():
         free_procs, free_bb = state.profile.free_at(res.start)
         assert free_procs >= jobs[3].n_procs
         assert (free_bb >= jobs[3].bb_total) == want_bb_free
+
+
+@pytest.mark.parametrize("policy, running, head_start", [
+    # the buffer blocks the head, whose processors-only reservation takes
+    # the last free processor from now
+    ("fcfs-easy", job(9, walltime=100, procs=3, bb=9 * TB), 0),
+    ("fcfs-bb", job(9, walltime=100, procs=4), 100),
+])
+def test_easy_skips_backfill_with_no_free_processor(policy, running, head_start,
+                                                    monkeypatch):
+    def no_backfill(state, candidates):
+        raise AssertionError("backfill pass with no processor free")
+
+    monkeypatch.setattr(bbsim.policies, "backfill_pass", no_backfill)
+    state = state_with_running([job(1, bb=2 * TB), job(2, walltime=10)], now=0,
+                               running=[running])
+    before = state.profile.copy()
+    result = easy_schedule(state, PolicyConfig.from_name(policy), validate=True)
+    assert result.launched == []
+    assert (result.head_reservation.job_id, result.head_reservation.start) == (1, head_start)
+    assert state.profile == before and list(state.queue) == [1, 2]
 
 
 def test_sjf_sort_is_stable_and_total():

@@ -12,7 +12,7 @@ from bbsim.workload import (
     SwfParseError,
     assign_phases,
     parse_swf,
-    phase_plan_for,
+    phase_durations,
     read_workload,
     synthesize_bb,
     synthetic_workload,
@@ -102,31 +102,29 @@ def test_synthesize_bb_law_of_large_numbers():
 
 def test_phase_plan_even_split():
     job = JobSpec(id=1, submit_time=0, runtime=600, walltime=600, n_procs=1, n_phases=10)
-    plan = phase_plan_for(job)
-    assert plan.compute_durations == (60,) * 10
-    assert plan.n_phases == 10
+    assert phase_durations(job) == (60,) * 10
 
 
 def test_phase_plan_remainder_to_last():
     job = JobSpec(id=1, submit_time=0, runtime=100, walltime=100, n_procs=1, n_phases=3)
-    assert phase_plan_for(job).compute_durations == (33, 33, 34)
+    assert phase_durations(job) == (33, 33, 34)
 
 
 def test_generate_phases_caps_at_runtime():
     job = JobSpec(id=1, submit_time=0, runtime=5, walltime=5, n_procs=1)
     for seed in range(30):
-        plan = phase_plan_for(assign_phases([job], seed)[0])
-        assert 1 <= plan.n_phases <= 5
-        assert all(d >= 1 for d in plan.compute_durations)
+        durations = phase_durations(assign_phases([job], seed)[0])
+        assert 1 <= len(durations) <= 5
+        assert all(d >= 1 for d in durations)
 
 
 @given(runtime=st.integers(1, 10**6), seed=st.integers(0, 1000))
 @settings(max_examples=100)
 def test_phase_durations_sum_to_runtime(runtime, seed):
     job = JobSpec(id=1, submit_time=0, runtime=runtime, walltime=runtime, n_procs=1)
-    plan = phase_plan_for(assign_phases([job], seed)[0])
-    assert sum(plan.compute_durations) == runtime
-    assert all(d > 0 for d in plan.compute_durations)
+    durations = phase_durations(assign_phases([job], seed)[0])
+    assert sum(durations) == runtime
+    assert all(d > 0 for d in durations)
 
 
 @given(

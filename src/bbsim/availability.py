@@ -25,9 +25,8 @@ class AllocationError(Exception):
     """Not enough free resources to satisfy an allocation."""
 
 
-def _check_demand(start: int, end: int, n_procs: int, bb_bytes: int) -> None:
-    if start >= end or n_procs < 0 or bb_bytes < 0:
-        raise ValueError(f"empty interval [{start}, {end}) or negative demand")
+def _bad_demand(start: int, end: int) -> ValueError:
+    return ValueError(f"empty interval [{start}, {end}) or negative demand")
 
 
 class AvailabilityProfile:
@@ -63,32 +62,33 @@ class AvailabilityProfile:
 
     # -- changing free capacity --------------------------------------------
 
-    def _split(self, t: int) -> int:
-        """Index of the breakpoint at t, inserted with unchanged free capacity if absent."""
-        times = self._times
-        i = bisect.bisect_left(times, t)
-        if i == len(times) or times[i] != t:
-            times.insert(i, t)
-            self._free_p.insert(i, self._free_p[i - 1])
-            self._free_b.insert(i, self._free_b[i - 1])
-        return i
-
     def _apply(self, start: int, end: int, dp: int, db: int) -> bool:
         """Add (dp, db) to free capacity over [start, end), start < end.
 
         Returns False, changing nothing, if free capacity would leave [0, totals].
         """
         times, fp, fb = self._times, self._free_p, self._free_b
-        i, j = self._split(start), self._split(end)
+        # breakpoints at start and end, inserted with unchanged free capacity if absent
+        i = bisect.bisect_left(times, start)
+        if i == len(times) or times[i] != start:
+            times.insert(i, start)
+            fp.insert(i, fp[i - 1])
+            fb.insert(i, fb[i - 1])
+        j = bisect.bisect_left(times, end, i + 1)
+        if j == len(times) or times[j] != end:
+            times.insert(j, end)
+            fp.insert(j, fp[j - 1])
+            fb.insert(j, fb[j - 1])
+        ok = True
         for k in range(i, j):  # not empty, as start < end
-            fp[k] += dp
-            fb[k] += db
-            ok = 0 <= fp[k] <= self.total_procs and 0 <= fb[k] <= self.total_bb
-            if not ok:
-                for m in range(i, k + 1):  # undo
+            p, b = fp[k] + dp, fb[k] + db
+            if not (0 <= p <= self.total_procs and 0 <= b <= self.total_bb):
+                for m in range(i, k):  # undo the steps already written
                     fp[m] -= dp
                     fb[m] -= db
+                ok = False
                 break
+            fp[k], fb[k] = p, b
         # only the two ends can have become redundant; j first keeps i valid
         for k in (j, i):
             if fp[k] == fp[k - 1] and fb[k] == fb[k - 1]:
@@ -97,7 +97,8 @@ class AvailabilityProfile:
 
     def add(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Take the demand from free capacity over [start, end)."""
-        _check_demand(start, end, n_procs, bb_bytes)
+        if not (start < end and n_procs >= 0 <= bb_bytes):
+            raise _bad_demand(start, end)
         if not self._apply(start, end, -n_procs, -bb_bytes):
             raise CapacityError(
                 f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity "
@@ -106,7 +107,8 @@ class AvailabilityProfile:
 
     def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Give back demand that add took over [start, end)."""
-        _check_demand(start, end, n_procs, bb_bytes)
+        if not (start < end and n_procs >= 0 <= bb_bytes):
+            raise _bad_demand(start, end)
         if not self._apply(start, end, n_procs, bb_bytes):
             raise CapacityError(
                 f"demand ({n_procs} procs, {bb_bytes} B) is not held over [{start}, {end})"

@@ -16,10 +16,15 @@ from .policies import CycleResult, SchedulerState, launch
 from .workload import JobSpec
 
 EXHAUSTIVE_THRESHOLD = 5  # queues up to this length are searched exhaustively
+MAX_ALPHA = 16
 
 
 @dataclass
 class AnnealConfig:
+    """Plan search settings. alpha is at most MAX_ALPHA so that no score overflows
+    while waits stay below 2**53 s (285 million years), the range in which every
+    float(wait) is exact: such a wait to the 16th is below 2**848, so the sum of
+    wait**alpha over any queue shorter than 2**176 jobs stays below 2**1024."""
     alpha: float = 2.0
     r: float = 0.9  # cooling rate
     n_cooling: int = 30
@@ -37,8 +42,8 @@ class AnnealConfig:
             raise ValueError("cooling rate must be in (0, 1)")
         if self.n_cooling < 1 or self.m_steps < 1:
             raise ValueError("cooling/constant-temperature steps must be >= 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {self.alpha!r}")
 
 
 @dataclass(frozen=True)
@@ -74,21 +79,20 @@ def build_plan(
     if stats is not None:
         stats.n_builds += 1
     work = profile.copy()
+    add, earliest_slot = work.add, work.earliest_slot
+    # every replayed job's demand is added; the last searched job's is never queried
+    n_known, n_added = len(known_starts), max(len(known_starts), len(jobs) - 1)
     starts: dict[int, int] = {}
     waits = []
     for k, job in enumerate(jobs):
-        bb = job.bb_total
-        if k < len(known_starts):
-            start = known_starts[k]
-        else:
-            start = work.earliest_slot(job.n_procs, bb, job.walltime, now)
-        if k < len(known_starts) or k < len(jobs) - 1:
-            # the last searched job's demand would never be queried
-            work.add(start, start + job.walltime, job.n_procs, bb)
+        n_procs, bb, walltime = job.n_procs, job.bb_total, job.walltime
+        start = known_starts[k] if k < n_known else earliest_slot(n_procs, bb, walltime, now)
+        if k < n_added:
+            add(start, start + walltime, n_procs, bb)
         starts[job.id] = start
         waits.append(start - job.submit_time)
     return ExecutionPlan(
-        permutation=tuple(j.id for j in jobs),
+        permutation=tuple(starts),  # job ids are unique, so starts keeps their order
         starts=starts,
         score=score(waits, alpha),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, replace
@@ -146,16 +147,7 @@ def part_index(submit_time: int) -> int | None:
 
 # -- workload files (JSON lines, versioned header) --------------------------
 
-_JOB_FIELDS = (
-    "id",
-    "submit_time",
-    "runtime",
-    "walltime",
-    "n_procs",
-    "bb_per_proc",
-    "n_phases",
-    "bb_total_bytes",
-)
+_JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobSpec))
 
 
 def write_workload(stream: TextIO, jobs: Iterable[JobSpec], meta: dict | None = None) -> None:

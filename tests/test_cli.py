@@ -1,10 +1,15 @@
 import json
+from dataclasses import replace
 
 import pytest
 
 from bbsim.cli import CONFIG_KEYS, main
 from bbsim.metrics import read_records
-from bbsim.workload import PART_SECONDS, read_workload, write_workload
+from bbsim.planner import MAX_ALPHA
+from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
+from bbsim.workload import (
+    PART_SECONDS, read_workload, synthetic_workload, write_workload,
+)
 
 from conftest import TABLE1, table1_job
 
@@ -291,6 +296,7 @@ def test_from_manifest_non_integer_tick_or_seed_is_input_error(
     ("sa_m", 1.5, "m_steps must be an integer"),
     ("sa_m", True, "m_steps must be an integer"),
     ("alpha", "2", "alpha must be a real number"),
+    ("alpha", 100.0, f"alpha must be in (0, {MAX_ALPHA}], got 100.0"),
     ("sa_r", True, "r must be a real number"),
 ])
 def test_from_manifest_wrong_anneal_field_type_is_input_error(
@@ -326,6 +332,38 @@ def test_from_manifest_bad_workload_or_policy_is_input_error(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.fixture
+def pressure_prefix(tmp_path):
+    """The first 40 jobs of the pressure workload, buffer requests cut to capacity."""
+    cap = build_platform(PlatformConfig()).total_bb
+    jobs = synthetic_workload(40, seed=42, mean_interarrival=45.0, bb_model=DEFAULT_BB_MODEL)
+    path = tmp_path / "pressure40.jsonl"
+    with open(path, "w") as f:
+        write_workload(f, [replace(j, bb_per_proc=min(j.bb_per_proc, cap // j.n_procs))
+                           for j in jobs])
+    return path
+
+
+def simulate_plan(tmp_path, workload, alpha):
+    return main(["simulate", "--workload", str(workload), "--policy", "plan",
+                 "--io-model", "off", "--alpha", str(alpha),
+                 "-o", str(tmp_path / "plan.csv"), "--manifest", str(tmp_path / "m.json")])
+
+
+def test_plan_alpha_above_bound_is_input_error(tmp_path, pressure_prefix, capsys):
+    """Waits of this run to the 100th overflow a float; the run is refused up front."""
+    assert simulate_plan(tmp_path, pressure_prefix, 100) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: alpha must be in (0, {MAX_ALPHA}], got 100.0\n"
+    assert not (tmp_path / "plan.csv").exists()
+
+
+def test_plan_alpha_at_bound_runs(tmp_path, pressure_prefix):
+    assert simulate_plan(tmp_path, pressure_prefix, MAX_ALPHA) == 0
+    with open(tmp_path / "plan.csv") as f:
+        assert len(read_records(f)) == 40
 
 
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):

@@ -8,16 +8,22 @@ brings back stale link events, idle ticks or a per-dump event moves these
 counts, so it fails here without a timing bound. A change that lowers a
 count updates the pin.
 
+The events that still do nothing are pinned too: the walltime event of a job
+that finished first, and the pending phase end of a job that was killed.
+
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
-queue drops a launched job by its id, so no run compares two jobs.
+queue drops a launched job by its id, so no run compares two jobs. So is the
+plan search's logical work: its plan builds, earliest-slot searches and
+placements, which a faster build must leave as they are.
 """
 
 import pytest
 
 from test_reference_records import bench, inputs
 
-Simulation = bench.bbsim.engine.Simulation
+engine = bench.bbsim.engine
+Simulation = engine.Simulation
 AvailabilityProfile = bench.bbsim.availability.AvailabilityProfile
 JobSpec = bench.bbsim.workload.JobSpec
 
@@ -47,17 +53,28 @@ DISPATCHED = {
 }
 
 
+# no-op job events per io-lifecycle run: (walltime events of finished jobs,
+# phase ends of killed jobs); the other workloads have none
+NO_OPS = {
+    "fcfs": (163, 131), "filler": (170, 123), "fcfs-easy": (166, 124),
+    "fcfs-bb": (164, 125), "sjf-bb": (166, 126), "plan": (38, 21),
+}
+
+
 @pytest.mark.parametrize("policy", bench.POLICIES)
 @pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
 def test_dispatched_events(workload, policy, monkeypatch):
     dispatched = 0
+    no_ops = {engine.WALLTIME_EXPIRED: 0, engine.PHASE_COMPLETE: 0}
     queue_at_tick: list[int] = []
     dispatch, on_tick = Simulation._dispatch, Simulation._on_tick
 
-    def counting_dispatch(self, *args):
+    def counting_dispatch(self, now, event, payload):
         nonlocal dispatched
         dispatched += 1
-        return dispatch(self, *args)
+        if event in no_ops and payload not in self.running:
+            no_ops[event] += 1
+        return dispatch(self, now, event, payload)
 
     def recording_tick(self, now):
         queue_at_tick.append(len(self.queue))
@@ -67,6 +84,8 @@ def test_dispatched_events(workload, policy, monkeypatch):
     monkeypatch.setattr(Simulation, "_on_tick", recording_tick)
     run(workload, policy)
     assert dispatched == DISPATCHED[workload][policy]
+    expected = NO_OPS[policy] if workload == "io-lifecycle" else (0, 0)
+    assert (no_ops[engine.WALLTIME_EXPIRED], no_ops[engine.PHASE_COMPLETE]) == expected
     assert queue_at_tick and min(queue_at_tick) > 0, "a tick ran with no job waiting"
 
 
@@ -124,3 +143,30 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     monkeypatch.setattr(JobSpec, "__eq__", counting_eq)
     run(workload, policy)
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
+
+
+# (build_plan, earliest_slot, add) calls of each plan run
+PLAN_WORK = {
+    "backfill-pressure": (3403, 20240, 22414),
+    "io-lifecycle": (479, 1969, 1550),
+    "plan-anneal": (14798, 103882, 122384),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(PLAN_WORK))
+def test_plan_search_work(workload, monkeypatch):
+    calls = dict.fromkeys(("build_plan", "earliest_slot", "add"), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    planner = bench.bbsim.planner
+    monkeypatch.setattr(planner, "build_plan", counting("build_plan", planner.build_plan))
+    for name in ("earliest_slot", "add"):
+        monkeypatch.setattr(AvailabilityProfile, name,
+                            counting(name, getattr(AvailabilityProfile, name)))
+    run(workload, "plan")
+    assert tuple(calls.values()) == PLAN_WORK[workload]

@@ -6,6 +6,7 @@ import pytest
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.planner import (
+    MAX_ALPHA,
     AnnealConfig,
     SearchStats,
     anneal,
@@ -107,6 +108,12 @@ def test_build_plan_deterministic():
 def test_anneal_config_rejects_wrong_field_types(field, value, kind):
     with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
         AnnealConfig(**{field: value})
+
+
+@pytest.mark.parametrize("alpha", [0, -1.0, MAX_ALPHA + 0.5, 100])
+def test_anneal_config_rejects_alpha_out_of_range(alpha):
+    with pytest.raises(ValueError, match=rf"^alpha must be in \(0, {MAX_ALPHA}\], got "):
+        AnnealConfig(alpha=alpha)
 
 
 def test_initial_candidates_identical_jobs():

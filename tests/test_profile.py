@@ -104,6 +104,20 @@ def test_remove_of_demand_not_held_is_rejected():
     assert p == before  # the rejected removes left nothing behind
 
 
+@pytest.mark.parametrize("change, demand", [("add", (0, 8)), ("remove", (2, 0))])
+def test_window_failing_at_its_last_step_changes_nothing(change, demand):
+    """The first steps of the window take the change, the last refuses it: the
+    steps already written are undone and the breakpoints inserted at both ends go."""
+    p = AvailabilityProfile(4, 10)
+    for start, procs, bb in ((0, 3, 1), (10, 2, 2), (20, 1, 3)):
+        p.add(start, start + 10, procs, bb)  # free (1, 9), then (2, 8), then (3, 7)
+    before = p.copy()
+    # [5, 25) spans three steps; bytes run out, or processors pass 4, only in [20, 25)
+    with pytest.raises(CapacityError):
+        getattr(p, change)(5, 25, *demand)
+    assert p == before
+
+
 def test_equality_is_over_the_step_function():
     p = table1_profile_at_t1()
     q = AvailabilityProfile(total_procs=4, total_bb=10 * TB)

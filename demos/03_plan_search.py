@@ -12,7 +12,7 @@ import itertools
 import random
 
 from bbsim.availability import AvailabilityProfile
-from bbsim.planner import AnnealConfig, SearchStats, anneal, build_plan, initial_candidates
+from bbsim.planner import AnnealConfig, SearchStats, anneal, build_plan, demands, initial_candidates
 from bbsim.workload import JobSpec
 
 CANDIDATE_NAMES = [
@@ -45,8 +45,9 @@ def main():
     now, alpha = 60, 2
 
     print("candidate orderings:")
-    for name, order in zip(CANDIDATE_NAMES, initial_candidates(queue)):
-        plan = build_plan(order, profile, now, alpha)
+    rows = demands(queue, profile, now)
+    for name, order in zip(CANDIDATE_NAMES, initial_candidates(rows)):
+        plan = build_plan(order, profile, alpha)
         ids = "-".join(str(j.id) for j in order)
         print(f"  {name:22s} {ids:22s} score {plan.score:>14.0f}")
 
@@ -57,8 +58,8 @@ def main():
           f"score {best.score:>14.0f}  ({stats.n_builds} plans built)")
 
     optimum = min(
-        build_plan(list(p), profile, now, alpha).score
-        for p in itertools.permutations(queue)
+        build_plan(list(p), profile, alpha).score
+        for p in itertools.permutations(rows)
     )
     print(f"optimum over all {40320} orders:          score {optimum:>14.0f}")
     print(f"anneal / optimum = {best.score / optimum:.4f}")

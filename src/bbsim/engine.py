@@ -124,7 +124,17 @@ class RunningJob:
 
 
 class Simulation:
-    """One deterministic simulation run of a workload under one policy."""
+    """One deterministic simulation run of a workload under one policy.
+
+    A workload is refused unless S + 2W + nP < 2**53, for n jobs with last
+    submit time S and walltimes summing to W, and tick period P. Then every
+    wait, real or planned, is below 2**53 s, where each float(wait) is exact
+    and MAX_ALPHA keeps plan scores finite. A run ends by S + W + nP: after
+    S, jobs run for at most W s in all, and an idle machine with jobs waiting
+    starts one at the next tick, at most P s on, at most n times. A plan or a
+    head reservation made at time t starts every job by t + W, after all the
+    walltimes placed before it.
+    """
 
     def __init__(
         self,
@@ -156,6 +166,11 @@ class Simulation:
                     f"job {job.id} exceeds platform capacity "
                     f"({job.n_procs} procs, {job.bb_total} B)"
                 )
+        span = sum(2 * j.walltime + self.cfg.tick_period_s for j in self.jobs)
+        span += self.jobs[-1].submit_time if self.jobs else 0
+        if span >= 2**53:
+            raise ValueError(f"workload too long: last submit + 2 * walltimes + one tick "
+                             f"per job is {span} s, must be below 2**53 s")
 
         self.profile = AvailabilityProfile(platform.n_procs, platform.total_bb)
         self.queue: dict[int, JobSpec] = {}  # pending jobs by id, in arrival order

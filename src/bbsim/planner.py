@@ -9,7 +9,8 @@ import itertools
 import math
 import numbers
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .availability import AvailabilityProfile
 from .policies import CycleResult, SchedulerState, launch
@@ -64,10 +65,33 @@ def score(waits, alpha: float) -> float:
     return sum(float(w) ** alpha for w in waits)
 
 
+class Demand(NamedTuple):
+    """A queued job as the plan search reads it, once per search."""
+    id: int
+    n_procs: int
+    bb_total: int
+    walltime: int
+    submit_time: int
+    not_before: int  # the job's earliest slot on the profile the search starts from
+
+
+def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> list[Demand]:
+    """The queue's demands, each with its earliest slot on profile from now.
+
+    A build only adds demand to a copy of profile, so no time before a job's
+    not_before fits it on the copy either: searching from not_before finds
+    the same slot as searching from now.
+    """
+    return [
+        Demand(j.id, j.n_procs, j.bb_total, j.walltime, j.submit_time,
+               profile.earliest_slot(j.n_procs, j.bb_total, j.walltime, now))
+        for j in queue
+    ]
+
+
 def build_plan(
-    jobs: list[JobSpec],
+    jobs: list[Demand],
     profile: AvailabilityProfile,
-    now: int,
     alpha: float,
     stats: SearchStats | None = None,
     known_starts: tuple[int, ...] = (),
@@ -79,18 +103,20 @@ def build_plan(
     if stats is not None:
         stats.n_builds += 1
     work = profile.copy()
-    add, earliest_slot = work.add, work.earliest_slot
-    # every replayed job's demand is added; the last searched job's is never queried
-    n_known, n_added = len(known_starts), max(len(known_starts), len(jobs) - 1)
+    add, place = work.add, work.place
+    n_known, last = len(known_starts), len(jobs) - 1
     starts: dict[int, int] = {}
     waits = []
-    for k, job in enumerate(jobs):
-        n_procs, bb, walltime = job.n_procs, job.bb_total, job.walltime
-        start = known_starts[k] if k < n_known else earliest_slot(n_procs, bb, walltime, now)
-        if k < n_added:
+    for k, (jid, n_procs, bb, walltime, submit_time, not_before) in enumerate(jobs):
+        if k < n_known:
+            start = known_starts[k]
             add(start, start + walltime, n_procs, bb)
-        starts[job.id] = start
-        waits.append(start - job.submit_time)
+        elif k < last:
+            start = place(n_procs, bb, walltime, not_before)
+        else:  # nothing is placed after the last job, so its demand is never added
+            start = work.earliest_slot(n_procs, bb, walltime, not_before)
+        starts[jid] = start
+        waits.append(start - submit_time)
     return ExecutionPlan(
         permutation=tuple(starts),  # job ids are unique, so starts keeps their order
         starts=starts,
@@ -98,7 +124,7 @@ def build_plan(
     )
 
 
-def initial_candidates(queue: list[JobSpec]) -> list[list[JobSpec]]:
+def initial_candidates(queue: list[Demand]) -> list[list[Demand]]:
     """The nine heuristic orderings seeding the annealing (all stable sorts)."""
     def by(key, reverse=False):
         return sorted(queue, key=key, reverse=reverse)
@@ -130,8 +156,8 @@ def exhaustive(
     permutation.
     """
     best: ExecutionPlan | None = None
-    for perm in itertools.permutations(queue):
-        plan = build_plan(list(perm), profile, now, alpha, stats)
+    for perm in itertools.permutations(demands(queue, profile, now)):
+        plan = build_plan(list(perm), profile, alpha, stats)
         if best is None or plan.score < best.score:
             best = plan
     assert best is not None, "empty queue"
@@ -159,11 +185,11 @@ def anneal(
     if stats is None:
         stats = SearchStats()
     stats.method = "anneal"
+    rows = demands(queue, profile, now)
     candidates = [
-        build_plan(order, profile, now, cfg.alpha, stats)
-        for order in initial_candidates(queue)
+        build_plan(order, profile, cfg.alpha, stats) for order in initial_candidates(rows)
     ]
-    jobs_by_id = {j.id: j for j in queue}
+    jobs_by_id = {row.id: row for row in rows}
     best = min(candidates, key=lambda p: p.score)
     worst = max(candidates, key=lambda p: p.score)
     if best.score == worst.score:
@@ -183,7 +209,7 @@ def anneal(
             new_perm[i], new_perm[j] = new_perm[j], new_perm[i]
             prefix = tuple(current.starts[jid] for jid in new_perm[: min(i, j)])
             new_jobs = [jobs_by_id[jid] for jid in new_perm]
-            plan = build_plan(new_jobs, profile, now, cfg.alpha, stats, prefix)
+            plan = build_plan(new_jobs, profile, cfg.alpha, stats, prefix)
             if plan.score < best.score:
                 best = current = plan
             elif plan.score < current.score or rng.random() < math.exp(

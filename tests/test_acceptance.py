@@ -17,7 +17,9 @@ from bbsim.availability import AvailabilityProfile
 from bbsim.cli import main as cli_main
 from bbsim.engine import SimConfig, Simulation, run, simulate_transfers
 from bbsim.metrics import bounded_slowdown, waiting_time
-from bbsim.planner import AnnealConfig, SearchStats, anneal, build_plan, exhaustive, initial_candidates
+from bbsim.planner import (
+    AnnealConfig, SearchStats, anneal, build_plan, demands, exhaustive, initial_candidates,
+)
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload, write_workload
 
@@ -203,8 +205,8 @@ def test_annealing_quality(report):
         queue, profile = anneal_instance(seed)
         cfg = AnnealConfig(alpha=2)
         best = anneal(queue, profile, 60, cfg, random.Random(seed))
-        cand = min(build_plan(order, profile, 60, 2).score
-                   for order in initial_candidates(queue))
+        cand = min(build_plan(order, profile, 2).score
+                   for order in initial_candidates(demands(queue, profile, 60)))
         if best.score > cand:
             never_worse = False
         optimum = pruned_optimum(queue, profile, 60, 2)
@@ -332,7 +334,7 @@ def test_metric_identities(report, pressure_results):
     ok = True
     for trial in range(50):
         queue, profile = random_instance(rng, rng.randint(1, 6))
-        plan = build_plan(queue, profile, 100, alpha=1)
+        plan = build_plan(demands(queue, profile, 100), profile, alpha=1)
         waits = [plan.starts[j.id] - j.submit_time for j in queue]
         if plan.score != len(queue) * statistics.mean(waits):
             ok = False

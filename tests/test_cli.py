@@ -8,7 +8,7 @@ from bbsim.metrics import read_records
 from bbsim.planner import MAX_ALPHA
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import (
-    PART_SECONDS, read_workload, synthetic_workload, write_workload,
+    JobSpec, PART_SECONDS, read_workload, synthetic_workload, write_workload,
 )
 
 from conftest import TABLE1, table1_job
@@ -364,6 +364,22 @@ def test_plan_alpha_at_bound_runs(tmp_path, pressure_prefix):
     assert simulate_plan(tmp_path, pressure_prefix, MAX_ALPHA) == 0
     with open(tmp_path / "plan.csv") as f:
         assert len(read_records(f)) == 40
+
+
+def test_plan_workload_whose_waits_could_reach_2_to_53_is_input_error(tmp_path, capsys):
+    """One full-width job of walltime 10**20 s, then seven small jobs: at
+    alpha 16 their waits overflow the plan score, so the run is refused."""
+    jobs = [JobSpec(id=1, submit_time=0, runtime=10**20, walltime=10**20, n_procs=96)] + [
+        JobSpec(id=i, submit_time=i, runtime=60 * i, walltime=60 * i, n_procs=i)
+        for i in range(2, 9)
+    ]
+    workload = tmp_path / "huge.jsonl"
+    with open(workload, "w") as f:
+        write_workload(f, jobs)
+    assert simulate_plan(tmp_path, workload, MAX_ALPHA) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload too long: ") and err.count("\n") == 1
+    assert not (tmp_path / "plan.csv").exists()
 
 
 def test_analyze_split_drops_records_past_the_last_part(tmp_path):

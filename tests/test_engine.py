@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bbsim.engine import FairShareLink, SimConfig, Simulation, run, simulate_transfers
+from bbsim.planner import AnnealConfig
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload
 
@@ -182,6 +183,30 @@ def test_events_ordered_by_exact_time_below_float_resolution(walltime, finish, k
     (r,) = run(small_platform(pfs_bw=P, bb=P), [job], "fcfs", SimConfig(validate=True))
     assert float(Fraction(101 * P + 1, P)) == 101.0
     assert (r.finish, r.killed) == (finish, killed)
+
+
+def huge_first_job(walltime):
+    """A full-width job of the given walltime, then seven small jobs."""
+    return [one_job(runtime=walltime, walltime=walltime, procs=96)] + [
+        replace(one_job(runtime=60 * i, walltime=60 * i, procs=i, submit=i), id=i)
+        for i in range(2, 9)
+    ]
+
+
+def test_workload_whose_waits_could_reach_2_to_53_is_refused():
+    """A wait of about 10**20 s to the 16th overflows a float in the plan
+    score; such a workload is refused before it runs."""
+    platform = build_platform(PlatformConfig())
+    # S + 2W + nP without the first job's walltime: last submit 8, the small
+    # jobs' walltimes 60 * (2 + ... + 8) s, one 60 s tick for each of 8 jobs
+    small = 8 + 2 * 60 * 35 + 8 * 60
+    with pytest.raises(ValueError, match=rf"^workload too long: .* is {2 * 10**20 + small} s, "
+                                         r"must be below 2\*\*53 s$"):
+        Simulation(platform, huge_first_job(10**20), "plan", IO_OFF, AnnealConfig(alpha=16))
+    walltime = (2**53 - small) // 2
+    Simulation(platform, huge_first_job(walltime - 1), "plan", IO_OFF)  # just below
+    with pytest.raises(ValueError, match="workload too long"):
+        Simulation(platform, huge_first_job(walltime), "plan", IO_OFF)
 
 
 def launched_at_zero():

@@ -11,6 +11,7 @@ from bbsim.planner import (
     SearchStats,
     anneal,
     build_plan,
+    demands,
     exhaustive,
     initial_candidates,
     plan_schedule,
@@ -59,7 +60,7 @@ def test_alpha_two_penalizes_unfairness():
 def test_build_plan_single_job_fits_now():
     profile = AvailabilityProfile(4, 10 * TB)
     j = job(1, submit=0, walltime=60)
-    plan = build_plan([j], profile, now=30, alpha=1)
+    plan = build_plan(demands([j], profile, 30), profile, alpha=1)
     assert plan.starts == {1: 30}
     assert plan.score == 30  # waited from submit=0 to now
 
@@ -69,22 +70,22 @@ def test_build_plan_table1_job3():
     profile.add(0, 10 * MIN, 1, 4 * TB)
     profile.add(0, 4 * MIN, 1, 2 * TB)
     j3 = table1_job(*TABLE1[2])
-    plan = build_plan([j3], profile, now=1 * MIN, alpha=2)
+    plan = build_plan(demands([j3], profile, 1 * MIN), profile, alpha=2)
     assert plan.starts == {3: 10 * MIN}
 
 
 def test_build_plan_serializes_full_width_jobs():
     profile = AvailabilityProfile(96, 0)
     a, b = job(1, walltime=100, procs=96), job(2, walltime=100, procs=96)
-    plan = build_plan([a, b], profile, now=0, alpha=1)
+    plan = build_plan(demands([a, b], profile, 0), profile, alpha=1)
     assert plan.starts == {1: 0, 2: 100}
-    plan = build_plan([b, a], profile, now=0, alpha=1)
+    plan = build_plan(demands([b, a], profile, 0), profile, alpha=1)
     assert plan.starts == {2: 0, 1: 100}
 
 
 def test_build_plan_does_not_mutate_profile():
     profile = AvailabilityProfile(4, 0)
-    build_plan([job(1)], profile, now=0, alpha=1)
+    build_plan(demands([job(1)], profile, 0), profile, alpha=1)
     assert profile.breakpoints() == []
 
 
@@ -92,7 +93,7 @@ def test_build_plan_deterministic():
     rng = random.Random(4)
     queue = random_queue(rng, 6)
     profile = AvailabilityProfile(8, 10)
-    plans = [build_plan(queue, profile, 0, 2) for _ in range(2)]
+    plans = [build_plan(demands(queue, profile, 0), profile, 2) for _ in range(2)]
     assert plans[0] == plans[1]
 
 
@@ -162,7 +163,7 @@ def test_exhaustive_beats_fcfs_on_contended_instance():
         job(3, submit=90, walltime=10, procs=1),
     ]
     plan = exhaustive(queue, profile, now=100, alpha=1)
-    fcfs_plan = build_plan(queue, profile, now=100, alpha=1)
+    fcfs_plan = build_plan(demands(queue, profile, 100), profile, alpha=1)
     assert plan.score < fcfs_plan.score
     assert plan.permutation != fcfs_plan.permutation
 
@@ -191,23 +192,26 @@ def test_anneal_budget_is_189():
 
 def test_anneal_earliest_slot_budget(monkeypatch):
     """One seeded annealing cycle makes an exact number of earliest-slot
-    searches: every build searches the jobs after its replayed prefix."""
-    calls = 0
-    original = AvailabilityProfile.earliest_slot
+    searches: one lower bound per job on the base profile, then, in every
+    build, one search per job after its replayed prefix."""
+    base = AvailabilityProfile(8, 10)
+    calls = {"bounds": 0, "searched": 0}
 
-    def counting(self, *args):
-        nonlocal calls
-        calls += 1
-        return original(self, *args)
+    def counting(fn):
+        def wrapper(self, *args):
+            calls["bounds" if self is base else "searched"] += 1
+            return fn(self, *args)
+        return wrapper
 
-    monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
+    for name in ("earliest_slot", "place"):
+        monkeypatch.setattr(AvailabilityProfile, name,
+                            counting(getattr(AvailabilityProfile, name)))
     stats = SearchStats()
-    anneal(heterogeneous_queue(8), AvailabilityProfile(8, 10), 50,
-           AnnealConfig(alpha=2), random.Random(0), stats)
+    anneal(heterogeneous_queue(8), base, 50, AnnealConfig(alpha=2), random.Random(0), stats)
     assert stats.n_builds == 189
     # 9 * 8 for the seed orderings, then 8 - min(i, j) per swap; 189 * 8
     # without the replay
-    assert calls == 1147
+    assert calls == {"bounds": 8, "searched": 1147}
 
 
 def test_prefix_replay_equals_scratch_build():
@@ -222,17 +226,43 @@ def test_prefix_replay_equals_scratch_build():
             procs, bb = rng.randint(0, 4), rng.randint(0, 5)
             if profile.has_capacity(procs, bb, start, end):
                 profile.add(start, end, procs, bb)
-        incumbent_order = rng.sample(queue, n)
-        incumbent = build_plan(incumbent_order, profile, 40, 2)
+        incumbent_order = rng.sample(demands(queue, profile, 40), n)
+        incumbent = build_plan(incumbent_order, profile, 2)
         i, j = rng.sample(range(n), 2)
         order = list(incumbent_order)
         order[i], order[j] = order[j], order[i]
         prefix = tuple(incumbent.starts[job.id] for job in order[: min(i, j)])
-        replayed = build_plan(order, profile, 40, 2, known_starts=prefix)
-        scratch = build_plan(order, profile, 40, 2)
+        replayed = build_plan(order, profile, 2, known_starts=prefix)
+        scratch = build_plan(order, profile, 2)
         assert replayed.starts == scratch.starts
         assert replayed.score == scratch.score
         assert replayed.permutation == scratch.permutation
+
+
+def test_lower_bounds_equal_searching_from_now():
+    """Builds that search each job from its per-search lower bound place the
+    jobs where builds that search from now do, replayed prefix or not."""
+    rng = random.Random(12)
+    for trial in range(200):
+        n, now = rng.randint(1, 9), rng.randint(0, 60)
+        queue = random_queue(rng, n, now=now)
+        profile = AvailabilityProfile(8, 10)
+        for k in range(rng.randint(0, 6)):  # demand that starts before and after now
+            start = rng.randint(0, 150)
+            end = start + rng.randint(1, 200)
+            procs, bb = rng.randint(0, 8), rng.randint(0, 10)
+            if profile.has_capacity(procs, bb, start, end):
+                profile.add(start, end, procs, bb)
+        bounded = rng.sample(demands(queue, profile, now), n)
+        from_now = [row._replace(not_before=now) for row in bounded]
+        prefix = tuple(build_plan(bounded, profile, 2).starts[row.id]
+                       for row in bounded[: rng.randint(0, n - 1)])
+        for known in ((), prefix):
+            plan = build_plan(bounded, profile, 2, known_starts=known)
+            oracle = build_plan(from_now, profile, 2, known_starts=known)
+            assert plan.starts == oracle.starts
+            assert plan.score == oracle.score
+            assert plan.permutation == oracle.permutation
 
 
 def test_anneal_skipped_for_identical_jobs():
@@ -253,8 +283,8 @@ def test_anneal_never_worse_than_candidates():
         stats = SearchStats()
         best = anneal(queue, profile, 50, cfg, random.Random(seed), stats)
         candidate_scores = [
-            build_plan(order, profile, 50, cfg.alpha).score
-            for order in initial_candidates(queue)
+            build_plan(order, profile, cfg.alpha).score
+            for order in initial_candidates(demands(queue, profile, 50))
         ]
         assert best.score <= min(candidate_scores)
 
@@ -277,7 +307,8 @@ def test_metropolis_rejects_worse_when_draw_is_high():
     profile = AvailabilityProfile(8, 10)
     best = anneal(queue, profile, 50, AnnealConfig(alpha=2), NeverAcceptRandom(0))
     candidate_best = min(
-        build_plan(order, profile, 50, 2).score for order in initial_candidates(queue)
+        build_plan(order, profile, 2).score
+        for order in initial_candidates(demands(queue, profile, 50))
     )
     assert best.score <= candidate_best
 
@@ -336,7 +367,7 @@ def test_plan_matches_bruteforce_small_queue():
                 profile.add(start, end, procs, bb)
         plan = exhaustive(queue, profile, 30, 2)
         brute = min(
-            build_plan(list(p), profile, 30, 2).score
-            for p in itertools.permutations(queue)
+            build_plan(list(p), profile, 2).score
+            for p in itertools.permutations(demands(queue, profile, 30))
         )
         assert plan.score == brute

@@ -229,6 +229,40 @@ def test_earliest_slot_is_tight(specs, procs, bb, duration, not_before):
         assert not p.has_capacity(procs, bb, s, s + duration)
 
 
+def outcome(call):
+    """call's result, or the type and message of the error it raised."""
+    try:
+        return call()
+    except (CapacityError, InfeasibleError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    reservation_lists,
+    st.integers(-2, 10),  # procs, beyond the totals and negative too
+    st.integers(-2, 12),  # bb units
+    st.integers(-2, 100),  # duration, non-positive too
+    st.integers(0, 300),  # not_before, often before demand that is still to come
+)
+@settings(max_examples=300)
+def test_place_equals_earliest_slot_then_add(specs, procs, bb, duration, not_before):
+    """place returns earliest_slot's start and leaves the profile == to
+    earliest_slot followed by add, or raises what they raise and changes nothing."""
+    p = AvailabilityProfile(8, 10)
+    for start, dur, rp, rb in specs:
+        if p.has_capacity(rp, rb, start, start + dur):
+            p.add(start, start + dur, rp, rb)
+    expected = p.copy()
+
+    def search_then_add():
+        t = expected.earliest_slot(procs, bb, duration, not_before)
+        expected.add(t, t + duration, procs, bb)
+        return t
+
+    assert outcome(lambda: p.place(procs, bb, duration, not_before)) == outcome(search_then_add)
+    assert p == expected
+
+
 class BruteForceProfile:
     """Used processors and bytes at every second of [0, horizon)."""
 

@@ -9,11 +9,29 @@ bandwidth equally and are accounted byte-exactly.
 Run: python3 demos/04_io_lifecycle.py
 """
 
+import math
 from fractions import Fraction
 
-from bbsim.engine import SimConfig, Simulation, simulate_transfers
+from bbsim.engine import FairShareLink, SimConfig, Simulation
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec
+
+
+def link_finishes(starts, bandwidth):
+    """Finish times of (start time, bytes) transfers, given in time order,
+    stepped through one shared link."""
+    link = FairShareLink(bandwidth)
+    finishes = {}
+
+    def complete_until(t):
+        while (done := link.next_completion()) is not None and done <= t:
+            finishes.update(dict.fromkeys(link.finished_ids(done), done))
+
+    for i, (t, size) in enumerate(starts):
+        complete_until(t)
+        link.add(t, i, size)
+    complete_until(math.inf)
+    return [finishes[i] for i in range(len(starts))]
 
 
 def main():
@@ -35,7 +53,7 @@ def main():
 
     print("\nfair sharing of the file-system link (100 B each, 10 B/s):")
     for starts in ([(0, 100)], [(0, 100), (0, 100)], [(0, 100), (5, 100)]):
-        finishes = simulate_transfers(starts, bandwidth=10)
+        finishes = link_finishes(starts, bandwidth=10)
         shown = ", ".join(str(Fraction(f)) for f in finishes)
         print(f"  starts {starts} -> finish times {shown}")
 

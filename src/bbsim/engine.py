@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import heapq
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +34,7 @@ from .availability import (
 from .metrics import JobRecord
 from .planner import AnnealConfig, SearchStats, plan_schedule
 from .platform import Platform
-from .policies import PolicyConfig, SchedulerState, run_policy
+from .policies import POLICY_NAMES, SchedulerState, run_policy
 from .workload import JobSpec, phase_durations
 
 # event priorities: at equal timestamps, completions run before the
@@ -148,12 +147,9 @@ class Simulation:
         self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.id))
         self.policy_name = policy
         self.cfg = sim_cfg or SimConfig()
-        if policy == "plan":
-            self.anneal_cfg = anneal_cfg or AnnealConfig()
-            self.policy_cfg = None
-        else:
-            self.anneal_cfg = None
-            self.policy_cfg = PolicyConfig.from_name(policy)
+        if policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {policy!r}")
+        self.anneal_cfg = (anneal_cfg or AnnealConfig()) if policy == "plan" else None
         self.rng = random.Random(self.cfg.seed)
 
         seen: set[int] = set()
@@ -250,7 +246,7 @@ class Simulation:
             result = plan_schedule(state, self.anneal_cfg, self.rng, stats)
             self.plan_stats.append(stats)
         else:
-            result = run_policy(state, self.policy_cfg, validate=self.cfg.validate)
+            result = run_policy(state, self.policy_name, validate=self.cfg.validate)
         if result.head_reservation is not None:
             self.head_reservations.append((now, result.head_reservation))
         for job in result.launched:
@@ -386,22 +382,3 @@ def run(
     """Run one simulation and return per-job records."""
     return Simulation(platform, jobs, policy, sim_cfg, anneal_cfg).run()
 
-
-def simulate_transfers(starts: list[tuple[int, int]], bandwidth: int) -> list[Fraction]:
-    """Finish times of (start_time, bytes) transfers on one fair-share link.
-
-    Standalone helper for reasoning about the sharing discipline; returns one
-    exact finish time per input transfer, in input order.
-    """
-    link = FairShareLink(bandwidth)
-    pending = deque(sorted((t, i) for i, (t, _) in enumerate(starts)))
-    finishes: dict[int, Fraction] = {}
-    while pending or link.active:
-        next_done = link.next_completion()
-        if next_done is None or (pending and pending[0][0] <= next_done):
-            t, i = pending.popleft()
-            link.add(t, i, starts[i][1])
-        else:
-            for i in link.finished_ids(next_done):
-                finishes[i] = next_done
-    return [finishes[i] for i in range(len(starts))]

@@ -90,7 +90,6 @@ class Platform:
     bb_capacity_per_node: dict[int, int]
     compute_link_bw: int
     pfs_link_bw: int
-    config: PlatformConfig
 
     @property
     def n_procs(self) -> int:
@@ -141,5 +140,4 @@ def build_platform(cfg: PlatformConfig) -> Platform:
         bb_capacity_per_node=per_node,
         compute_link_bw=int(cfg.compute_link_bw),
         pfs_link_bw=int(cfg.pfs_link_bw),
-        config=cfg,
     )

@@ -16,27 +16,6 @@ from .workload import JobSpec
 POLICY_NAMES = ("fcfs", "fcfs-easy", "filler", "fcfs-bb", "sjf-bb", "plan")
 
 
-@dataclass(frozen=True)
-class PolicyConfig:
-    name: str
-    order: str = "fcfs"  # "fcfs" | "sjf"
-    reserve_bb: bool = False
-    backfilling: bool = False
-
-    @classmethod
-    def from_name(cls, name: str) -> "PolicyConfig":
-        table = {
-            "fcfs": cls("fcfs"),
-            "fcfs-easy": cls("fcfs-easy", backfilling=True),
-            "filler": cls("filler", backfilling=True),
-            "fcfs-bb": cls("fcfs-bb", backfilling=True, reserve_bb=True),
-            "sjf-bb": cls("sjf-bb", order="sjf", backfilling=True, reserve_bb=True),
-        }
-        if name not in table:
-            raise ValueError(f"unknown queue policy: {name!r}")
-        return table[name]
-
-
 @dataclass
 class SchedulerState:
     queue: dict[int, JobSpec]  # pending jobs by id, in arrival order
@@ -106,13 +85,13 @@ def sjf_sorted(jobs: list[JobSpec]) -> list[JobSpec]:
 
 
 def easy_schedule(
-    state: SchedulerState, cfg: PolicyConfig, validate: bool = False
+    state: SchedulerState, reserve_bb: bool, sjf: bool, validate: bool = False
 ) -> CycleResult:
     """EASY-backfilling: FCFS pass, head reservation, backfill, drop reservation.
 
     The head reservation covers processors only, or processors and burst
-    buffers when cfg.reserve_bb is set. SJF order applies to the backfill
-    candidates only; the head stays at the front of the queue either way.
+    buffers when reserve_bb is set. With sjf set, SJF order applies to the
+    backfill candidates only; the head stays at the front of the queue.
     With no processor free at now beside those the head holds, no candidate
     can start, so the backfill is skipped; the head reservation is reported.
     """
@@ -121,7 +100,7 @@ def easy_schedule(
         return result
     queued = iter(state.queue.values())
     head = next(queued)
-    bb_demand = head.bb_total if cfg.reserve_bb else 0
+    bb_demand = head.bb_total if reserve_bb else 0
     start = state.profile.earliest_slot(
         head.n_procs, bb_demand, head.walltime, state.now
     )
@@ -134,7 +113,7 @@ def easy_schedule(
     held = (start, start + head.walltime, head.n_procs, bb_demand)
     state.profile.add(*held)
     rest = list(queued)
-    candidates = sjf_sorted(rest) if cfg.order == "sjf" else rest
+    candidates = sjf_sorted(rest) if sjf else rest
     result.launched += backfill_pass(state, candidates)
     state.profile.remove(*held)
     if validate:
@@ -149,18 +128,18 @@ def easy_schedule(
     return result
 
 
-def filler_schedule(state: SchedulerState) -> CycleResult:
-    """Greedy first-fit in arrival order, no reservations at all."""
-    return CycleResult(launched=backfill_pass(state, list(state.queue.values())))
+def run_policy(state: SchedulerState, name: str, validate: bool = False) -> CycleResult:
+    """One pass of the queue policy called name: the one map of names to passes.
 
-
-def run_policy(
-    state: SchedulerState, cfg: PolicyConfig, validate: bool = False
-) -> CycleResult:
-    if cfg.name == "fcfs":
+    filler is greedy first-fit in arrival order, with no reservation at all;
+    the three EASY variants differ in what the head reserves and in the
+    order of the backfill candidates.
+    """
+    if name == "fcfs":
         return CycleResult(launched=fcfs_pass(state))
-    if cfg.name == "filler":
-        return filler_schedule(state)
-    if cfg.backfilling:
-        return easy_schedule(state, cfg, validate=validate)
-    raise ValueError(f"policy {cfg.name!r} not handled here")
+    if name == "filler":
+        return CycleResult(launched=backfill_pass(state, list(state.queue.values())))
+    if name in ("fcfs-easy", "fcfs-bb", "sjf-bb"):
+        return easy_schedule(state, reserve_bb=name != "fcfs-easy", sjf=name == "sjf-bb",
+                             validate=validate)
+    raise ValueError(f"unknown queue policy: {name!r}")

@@ -1,5 +1,8 @@
+import math
+
 import pytest
 
+from bbsim.engine import FairShareLink
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec
 
@@ -49,3 +52,24 @@ def table1_platform():
         bb_capacity_total=10 * TB,
     )
     return build_platform(cfg)
+
+
+def link_finishes(starts, bw):
+    """Finish times of (start time, bytes) transfers stepped through FairShareLink.
+
+    Transfers start in time order; before each start, every completion due
+    at or before it is popped, as the engine runs completions first.
+    """
+    link = FairShareLink(bw)
+    finishes = {}
+
+    def complete_until(t):
+        while (done := link.next_completion()) is not None and done <= t:
+            for key in link.finished_ids(done):  # asserts byte-exact completion
+                finishes[key] = done
+
+    for t, i in sorted((t, i) for i, (t, _) in enumerate(starts)):
+        complete_until(t)
+        link.add(t, i, starts[i][1])
+    complete_until(math.inf)
+    return [finishes[i] for i in range(len(starts))]

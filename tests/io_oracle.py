@@ -1,12 +1,16 @@
-"""Independent oracle for the I/O lifecycle of jobs that never wait.
+"""Independent oracles for the shared PFS link and the I/O lifecycle.
 
-On a platform with room for every job, each job starts at the first
-scheduler tick at or after its submission, and its life is then fixed:
-stage-in, compute phases with a checkpoint dump after each but the last,
-one drain of each dump to the PFS, stage-out, and a kill at the walltime.
-This steps through those lives in exact Fractions, from each thing that
-happens to the next, with no link class, no heap and nothing from the
-engine. The PFS bandwidth is split equally among the transfers in flight:
+Both step in exact Fractions from each thing that happens to the next, with
+no link class, no heap and nothing from the engine. The PFS bandwidth is
+split equally among the transfers in flight.
+
+transfer_finishes gives the finish times of bare transfers on the link.
+
+lifecycle_outcomes gives the outcomes of jobs that never wait. On a platform
+with room for every job, each job starts at the first scheduler tick at or
+after its submission, and its life is then fixed: stage-in, compute phases
+with a checkpoint dump after each but the last, one drain of each dump to
+the PFS, stage-out, and a kill at the walltime. The transfers in flight are
 every stage-in or stage-out, and the first of each job's drains, which run
 one after another as separate transfers.
 """
@@ -62,3 +66,27 @@ def lifecycle_outcomes(jobs, tick, pfs_bw, compute_bw):
                 outcome[j["id"]] = (now, True)
                 running.remove(j)
     return outcome
+
+
+def transfer_finishes(starts, bw):
+    """Finish time of each (start time, bytes) transfer, in input order.
+
+    Steps from each start or finish to the next; between two of them every
+    transfer in flight moves bw / (transfers in flight) bytes a second.
+    """
+    left = {i: Fraction(size) for i, (_, size) in enumerate(starts)}
+    finishes = [None] * len(starts)
+    now = min((t for t, _ in starts), default=0)
+    while left:
+        flying = [i for i in left if starts[i][0] <= now]
+        rate = Fraction(bw, len(flying)) if flying else None
+        times = [starts[i][0] for i in left if starts[i][0] > now]
+        times += [now + left[i] / rate for i in flying]
+        t = min(times)
+        for i in flying:
+            left[i] -= (t - now) * rate
+            if left[i] == 0:
+                finishes[i] = t
+                del left[i]
+        now = t
+    return finishes

@@ -12,10 +12,12 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.cli import main as cli_main
-from bbsim.engine import SimConfig, Simulation, run, simulate_transfers
+from bbsim.engine import SimConfig, Simulation, run
 from bbsim.metrics import bounded_slowdown, waiting_time
 from bbsim.planner import (
     AnnealConfig, SearchStats, anneal, build_plan, demands, exhaustive, initial_candidates,
@@ -23,7 +25,8 @@ from bbsim.planner import (
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload, write_workload
 
-from conftest import TABLE1, table1_job
+from conftest import TABLE1, link_finishes, table1_job
+from io_oracle import transfer_finishes
 
 TB = 10**12
 MIN = 60
@@ -258,27 +261,36 @@ def test_easy_guarantee_at_scale(report, platform96):
 
 
 def test_transfer_conservation(report):
-    examples_ok = (
-        simulate_transfers([(0, 100)], 10) == [10]
-        and simulate_transfers([(0, 100), (0, 100)], 10) == [20, 20]
-        and simulate_transfers([(0, 100), (5, 100)], 10) == [15, 20]
+    examples_ok = all(
+        link_finishes(xs, 10) == transfer_finishes(xs, 10) == want
+        for xs, want in (
+            ([(0, 100)], [10]),
+            ([(0, 100), (0, 100)], [20, 20]),
+            ([(0, 100), (5, 100)], [15, 20]),
+        )
     )
     report("link sharing reproduces the three worked finish times", examples_ok)
 
-    rng = random.Random(99)
-    conserved = True
-    for trial in range(100):
-        n = rng.randint(1, 12)
-        bw = rng.randint(1, 9)
-        xs = [(rng.randint(0, 100), rng.randint(1, 10**6)) for _ in range(n)]
-        finishes = simulate_transfers(xs, bw)  # asserts byte-exact completion
-        busy = sorted(zip((t for t, _ in xs), finishes))
+    @given(
+        xs=st.lists(st.tuples(st.integers(0, 100), st.integers(1, 10**6)),
+                    min_size=1, max_size=12),
+        bw=st.integers(1, 9),
+    )
+    @settings(max_examples=100, deadline=None)
+    def exact_and_conserved(xs, bw):
+        finishes = link_finishes(xs, bw)  # asserts byte-exact completion
+        assert finishes == transfer_finishes(xs, bw)
         # the link never moves more than bw bytes per second
-        total = sum(b for _, b in xs)
         span = max(finishes) - min(t for t, _ in xs)
-        if span * bw < total:
-            conserved = False
-    report("randomized transfer schedules conserve bytes exactly", conserved)
+        assert span * bw >= sum(b for _, b in xs)
+
+    try:
+        exact_and_conserved()
+        failure = ""
+    except AssertionError as e:
+        failure = str(e)
+    report("randomized transfer schedules finish as the exact oracle says and "
+           "conserve bytes", not failure, failure)
 
 
 # -- directional policy orderings under buffer pressure -------------------------

@@ -2,11 +2,15 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bbsim.engine import FairShareLink, SimConfig, Simulation, run, simulate_transfers
+from bbsim.engine import FairShareLink, SimConfig, Simulation, run
 from bbsim.planner import AnnealConfig
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload
+from conftest import link_finishes
+from io_oracle import transfer_finishes
 
 IO_OFF = SimConfig(io_model="off", validate=True)
 
@@ -64,6 +68,12 @@ def test_infeasible_job_rejected():
 
     with pytest.raises(InfeasibleError):
         run(small_platform(bb=10), [one_job(bb=11)], "fcfs")
+
+
+@pytest.mark.parametrize("policy", ["bogus", "PLAN", "fcfs "])
+def test_unknown_policy_rejected(policy):
+    with pytest.raises(ValueError, match=f"unknown policy {policy!r}"):
+        Simulation(small_platform(), [one_job()], policy)
 
 
 def test_three_phase_lifecycle_timeline():
@@ -297,51 +307,49 @@ def test_trace_collection():
 # -- shared-link sharing discipline -------------------------------------------
 
 
+def finishes(starts, bw):
+    """The link's finish times, required to equal the oracle's."""
+    got = link_finishes(starts, bw)
+    assert got == transfer_finishes(starts, bw)
+    return got
+
+
 def test_transfer_single():
-    assert simulate_transfers([(0, 100)], 10) == [Fraction(10)]
+    assert finishes([(0, 100)], 10) == [Fraction(10)]
 
 
 def test_transfer_equal_split():
     # two simultaneous transfers each get half the link
-    assert simulate_transfers([(0, 100), (0, 100)], 10) == [20, 20]
+    assert finishes([(0, 100), (0, 100)], 10) == [20, 20]
 
 
 def test_transfer_reshare_on_arrival():
     # second transfer arrives halfway: [0,5) full rate, then an even split
-    finishes = simulate_transfers([(0, 100), (5, 100)], 10)
-    assert finishes == [Fraction(15), Fraction(20)]
+    assert finishes([(0, 100), (5, 100)], 10) == [Fraction(15), Fraction(20)]
 
 
 def test_transfer_reshare_on_departure():
-    # after the short transfer finishes, the long one gets the link back
-    finishes = simulate_transfers([(0, 10), (0, 100)], 10)
-    assert finishes[0] == Fraction(2)
-    # long transfer: 10 B by t=2, then 90 B at full rate
-    assert finishes[1] == Fraction(11)
+    # after the short transfer finishes, the long one gets the link back:
+    # 10 B by t=2, then 90 B at full rate
+    assert finishes([(0, 10), (0, 100)], 10) == [Fraction(2), Fraction(11)]
 
 
 def test_transfer_fractional_exactness():
-    finishes = simulate_transfers([(0, 10), (0, 10), (0, 10)], 3)
-    assert finishes == [Fraction(10), Fraction(10), Fraction(10)]
-    finishes = simulate_transfers([(0, 10), (0, 10)], 3)
-    assert finishes == [Fraction(20, 3), Fraction(20, 3)]
+    assert finishes([(0, 10), (0, 10), (0, 10)], 3) == [10, 10, 10]
+    assert finishes([(0, 10), (0, 10)], 3) == [Fraction(20, 3), Fraction(20, 3)]
 
 
-def test_transfer_conservation_random():
-    import random
-
-    rng = random.Random(11)
-    for trial in range(25):
-        n = rng.randint(1, 8)
-        bw = rng.randint(1, 7)
-        xs = [(rng.randint(0, 50), rng.randint(1, 500)) for _ in range(n)]
-        finishes = simulate_transfers(xs, bw)
-        total_bytes = sum(b for _, b in xs)
-        # link never exceeds bw, so the span must cover total_bytes / bw
-        span = max(finishes) - min(t for t, _ in xs)
-        assert span >= Fraction(total_bytes, bw)
-        for (t0, _), f in zip(xs, finishes):
-            assert f > t0
+@given(
+    xs=st.lists(st.tuples(st.integers(0, 50), st.integers(1, 500)), min_size=1, max_size=8),
+    bw=st.integers(1, 7),
+)
+@settings(max_examples=300, deadline=None)
+def test_transfer_conservation_random(xs, bw):
+    done = finishes(xs, bw)
+    # the link never exceeds bw, so the span must cover total bytes / bw
+    span = max(done) - min(t for t, _ in xs)
+    assert span >= Fraction(sum(b for _, b in xs), bw)
+    assert all(f > t0 for (t0, _), f in zip(xs, done))
 
 
 def test_link_time_cannot_move_backwards():

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 import bbsim.policies
 from bbsim.availability import AvailabilityProfile, CapacityError
 from bbsim.policies import (
-    PolicyConfig,
+    EasyGuaranteeViolation,
     SchedulerState,
     backfill_pass,
-    easy_schedule,
     fcfs_pass,
-    filler_schedule,
     launch,
     run_policy,
     sjf_sorted,
@@ -43,14 +41,26 @@ def table1():
 
 
 def test_policy_name_mapping():
-    assert PolicyConfig.from_name("fcfs") == PolicyConfig("fcfs")
-    assert PolicyConfig.from_name("fcfs-easy").backfilling
-    assert not PolicyConfig.from_name("fcfs-easy").reserve_bb
-    assert PolicyConfig.from_name("fcfs-bb").reserve_bb
-    sjf = PolicyConfig.from_name("sjf-bb")
-    assert sjf.order == "sjf" and sjf.reserve_bb and sjf.backfilling
-    with pytest.raises(ValueError):
-        PolicyConfig.from_name("plan")  # handled by the planner, not here
+    """Each name picks its pass: what the head reserves, and the backfill order."""
+    jobs = table1()
+    reserved = {}
+    for name in ("fcfs", "filler", "fcfs-easy", "fcfs-bb", "sjf-bb"):
+        state = state_with_running([jobs[3]], now=1 * MIN, running=[jobs[1], jobs[2]])
+        res = run_policy(state, name, validate=True).head_reservation
+        reserved[name] = res and (res.start, res.bb_bytes)
+    assert reserved == {
+        "fcfs": None, "filler": None, "fcfs-easy": (4 * MIN, 0),
+        "fcfs-bb": (10 * MIN, 8 * TB), "sjf-bb": (10 * MIN, 8 * TB),
+    }
+    # a short job behind a long one backfills first under sjf-bb only
+    head = job(1, procs=4, walltime=600)
+    long, short = job(2, walltime=500), job(3, walltime=30)
+    for name, first in (("fcfs-bb", 2), ("sjf-bb", 3)):
+        state = state_with_running([head, long, short], now=0,
+                                   running=[job(99, procs=3, walltime=1200)])
+        assert [j.id for j in run_policy(state, name).launched] == [first]
+    with pytest.raises(ValueError, match="unknown queue policy: 'plan'"):
+        run_policy(state, "plan")  # handled by the planner, not here
 
 
 def test_fcfs_launches_table1_head_jobs():
@@ -91,7 +101,7 @@ def test_easy_backfills_job6_at_t3():
     state = state_with_running(
         [jobs[3], jobs[4], jobs[5], jobs[6]], now=3 * MIN, running=[jobs[1], jobs[2]]
     )
-    result = easy_schedule(state, PolicyConfig.from_name("fcfs-easy"), validate=True)
+    result = run_policy(state, "fcfs-easy", validate=True)
     assert [j.id for j in result.launched] == [6]
     # job 3 reserved processors-only at t=4 min (jobs 4 and 5 would delay it)
     assert result.head_reservation.start == 4 * MIN
@@ -102,7 +112,7 @@ def test_easy_backfills_job6_at_t3():
 def test_easy_bb_reserves_storage_for_head():
     jobs = table1()
     state = state_with_running([jobs[3]], now=1 * MIN, running=[jobs[1], jobs[2]])
-    result = easy_schedule(state, PolicyConfig.from_name("fcfs-bb"), validate=True)
+    result = run_policy(state, "fcfs-bb", validate=True)
     assert result.launched == []
     res = result.head_reservation
     assert (res.job_id, res.start, res.n_procs, res.bb_bytes) == (3, 10 * MIN, 3, 8 * TB)
@@ -113,7 +123,7 @@ def test_easy_bb_reserves_storage_for_head():
 
 def test_easy_single_fitting_job_needs_no_reservation():
     state = state_with_running([job(1, procs=2)], now=0)
-    result = easy_schedule(state, PolicyConfig.from_name("fcfs-easy"))
+    result = run_policy(state, "fcfs-easy")
     assert [j.id for j in result.launched] == [1]
     assert result.head_reservation is None
 
@@ -123,7 +133,7 @@ def test_reserve_bb_asymmetry():
     jobs = table1()
     for name, want_bb_free in (("fcfs-easy", False), ("fcfs-bb", True)):
         state = state_with_running([jobs[3]], now=1 * MIN, running=[jobs[1], jobs[2]])
-        result = easy_schedule(state, PolicyConfig.from_name(name), validate=True)
+        result = run_policy(state, name, validate=True)
         res = result.head_reservation
         free_procs, free_bb = state.profile.free_at(res.start)
         assert free_procs >= jobs[3].n_procs
@@ -145,10 +155,43 @@ def test_easy_skips_backfill_with_no_free_processor(policy, running, head_start,
     state = state_with_running([job(1, bb=2 * TB), job(2, walltime=10)], now=0,
                                running=[running])
     before = state.profile.copy()
-    result = easy_schedule(state, PolicyConfig.from_name(policy), validate=True)
+    result = run_policy(state, policy, validate=True)
     assert result.launched == []
     assert (result.head_reservation.job_id, result.head_reservation.start) == (1, head_start)
     assert state.profile == before and list(state.queue) == [1, 2]
+
+
+def test_easy_guarantee_check_fires(monkeypatch):
+    """A backfill that starts a job in the head's reserved processors is caught.
+
+    A launch is capacity-checked against the head's hold, so the faulty pass
+    lifts the hold for good before it launches; the EASY pass's own release
+    of the hold then has nothing to give back.
+    """
+    hold = (100, 150, 2, 5)  # the head's reservation: start, end, procs, bytes
+
+    def grab_reserved_procs(state, candidates):
+        (rogue,) = candidates
+        state.profile.remove(*hold)
+        launch(state, rogue)
+        monkeypatch.setattr(state.profile, "remove", lambda *demand: None)
+        return [rogue]
+
+    monkeypatch.setattr(bbsim.policies, "backfill_pass", grab_reserved_procs)
+
+    def blocked_head():
+        # the head waits for the buffer until t=100; the rogue runs to t=200
+        return state_with_running([job(1, walltime=50, procs=2, bb=5),
+                                   job(2, walltime=200, procs=3)],
+                                  now=0, running=[job(99, walltime=100, bb=8)], bb=10)
+
+    result = run_policy(blocked_head(), "fcfs-bb")
+    assert [j.id for j in result.launched] == [2]
+    res = result.head_reservation
+    assert (res.start, res.start + 50, res.n_procs, res.bb_bytes) == hold
+    with pytest.raises(EasyGuaranteeViolation, match="reserved start 100, "
+                                                     "post-backfill earliest slot 200"):
+        run_policy(blocked_head(), "fcfs-bb", validate=True)
 
 
 def test_sjf_sort_is_stable_and_total():
@@ -164,14 +207,14 @@ def test_sjf_head_requeued_at_front():
     short = job(2, procs=1, walltime=30)
     running = [job(99, procs=2, walltime=1200)]
     state = state_with_running([head, short], now=0, running=running)
-    easy_schedule(state, PolicyConfig.from_name("sjf-bb"), validate=True)
+    run_policy(state, "sjf-bb", validate=True)
     assert next(iter(state.queue.values())).id == 1
 
 
 def test_filler_table1_t1_launches_nothing():
     jobs = table1()
     state = state_with_running([jobs[3]], now=1 * MIN, running=[jobs[1], jobs[2]])
-    result = filler_schedule(state)
+    result = run_policy(state, "filler")
     assert result.launched == []
 
 
@@ -179,7 +222,7 @@ def test_filler_equals_fcfs_when_everything_fits():
     queue = [job(i, procs=1) for i in range(1, 4)]
     s1 = state_with_running(queue, now=0)
     s2 = state_with_running(queue, now=0)
-    assert [j.id for j in filler_schedule(s1).launched] == [
+    assert [j.id for j in run_policy(s1, "filler").launched] == [
         j.id for j in fcfs_pass(s2)
     ]
 
@@ -201,7 +244,7 @@ def test_filler_starves_wide_head():
             held.remove(r)
         state = SchedulerState(queue=queue, profile=profile, now=now)
         held += [(now, now + j.walltime, j.n_procs, j.bb_total)
-                 for j in filler_schedule(state).launched]
+                 for j in run_policy(state, "filler").launched]
         assert head in state.queue.values()
         waits.append(now - head.submit_time)
     assert waits == sorted(waits) and waits[-1] >= 11 * 60
@@ -210,7 +253,7 @@ def test_filler_starves_wide_head():
 def test_run_policy_dispatch():
     jobs = table1()
     state = state_with_running([jobs[1], jobs[2]], now=0)
-    result = run_policy(state, PolicyConfig.from_name("fcfs"))
+    result = run_policy(state, "fcfs")
     assert [j.id for j in result.launched] == [1, 2]
     assert result.head_reservation is None
 

@@ -11,11 +11,13 @@ arithmetic, so completions are byte-exact. Events run in order of exact time,
 then event priority, then push order; the heap key leads with the time as a
 float only so that most comparisons are one float comparison.
 
-No superseded event is popped: the link's next completion waits in one slot
-beside the heap and is overwritten at each change of the link, and scheduler
-ticks run only while jobs wait. Phase and walltime events carry the job id
-alone, so a job that has ended ignores them. A job that moves no bytes ends
-within its walltime, so it gets no walltime event.
+Jobs enter the queue only at a scheduler tick, which reads every job submitted
+by then and traces it at its submit time; the heap holds one tick while jobs
+wait or remain unsubmitted. The link's next completion waits in one slot beside
+the heap, overwritten at each change of the link. Phase and walltime events
+carry the job id alone, and no phase end past the walltime is pushed, so the
+only events that find their job ended are walltime events of jobs that finished
+first. A job that moves no bytes gets no walltime event: it ends within it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from .workload import JobSpec, phase_durations
 TRANSFER_COMPLETE = 1
 PHASE_COMPLETE = 2
 WALLTIME_EXPIRED = 3
-JOB_SUBMITTED = 4
-SCHEDULER_TICK = 5
+SCHEDULER_TICK = 4
 
 @dataclass
 class SimConfig:
@@ -181,7 +182,7 @@ class Simulation:
         self._heap: list = []
         self._seq = 0
         self._link_next: tuple | None = None  # key of the link's next completion
-        self._tick_at: int | None = None
+        self._unsubmitted = self.jobs[::-1]  # popped from the end, in submit order
 
     # -- event machinery -----------------------------------------------------
 
@@ -194,9 +195,11 @@ class Simulation:
     def _push(self, time, event: int, payload=None) -> None:
         heapq.heappush(self._heap, self._key(time, event, payload))
 
-    def _schedule_tick(self, at: int) -> None:
-        if self._tick_at is None or at < self._tick_at:
-            self._tick_at = at
+    def _push_next_tick(self, now: int) -> None:
+        """One period on while jobs wait, else the first tick at or after the next submit."""
+        tick = self.cfg.tick_period_s
+        if self.queue or self._unsubmitted:
+            at = now + tick if self.queue else -(-self._unsubmitted[-1].submit_time // tick) * tick
             self._push(at, SCHEDULER_TICK)
 
     def _trace(self, now, event: str, **data) -> None:
@@ -204,8 +207,7 @@ class Simulation:
             self.trace.append({"t": float(now), "event": event, **data})
 
     def run(self) -> list[JobRecord]:
-        for job in self.jobs:
-            self._push(job.submit_time, JOB_SUBMITTED, job)
+        self._push_next_tick(0)
         while self._heap or self._link_next:
             if self._link_next and (not self._heap or self._link_next < self._heap[0]):
                 key, self._link_next = self._link_next, None
@@ -220,26 +222,23 @@ class Simulation:
         return self.records
 
     def _dispatch(self, now, event: int, payload) -> None:
-        if event == JOB_SUBMITTED:
-            self.queue[payload.id] = payload
-            self._trace(now, "submit", job=payload.id)
-            tick = self.cfg.tick_period_s
-            self._schedule_tick(-(-now // tick) * tick)
-        elif event == SCHEDULER_TICK:
-            self._tick_at = None
+        if event == SCHEDULER_TICK:
             self._on_tick(now)
         elif payload is None:  # the link's next completion
             self._on_pfs_completions(now)
-        elif payload in self.running:  # else the job has ended
-            rj = self.running[payload]
-            if event == WALLTIME_EXPIRED:
-                self._kill(rj, now)
-            else:
-                self._on_phase_complete(rj, now)
+        elif event == PHASE_COMPLETE:
+            self._on_phase_complete(self.running[payload], now)
+        elif payload in self.running:  # else the job finished within its walltime
+            self._kill(self.running[payload], now)
 
     # -- scheduling ------------------------------------------------------------
 
     def _on_tick(self, now: int) -> None:
+        pending = self._unsubmitted
+        while pending and pending[-1].submit_time <= now:
+            job = pending.pop()
+            self.queue[job.id] = job
+            self._trace(job.submit_time, "submit", job=job.id)
         state = SchedulerState(self.queue, self.profile, now)
         if self.policy_name == "plan":
             stats = SearchStats()
@@ -251,8 +250,7 @@ class Simulation:
             self.head_reservations.append((now, result.head_reservation))
         for job in result.launched:
             self._start_job(job, now)
-        if self.queue:
-            self._schedule_tick(now + self.cfg.tick_period_s)
+        self._push_next_tick(now)
 
     def _start_job(self, job: JobSpec, now: int) -> None:
         nodes = allocate_nodes(self.free_compute, job.n_procs)
@@ -286,7 +284,9 @@ class Simulation:
 
     def _start_phase(self, rj: RunningJob, now, phase: int) -> None:
         rj.phase = phase
-        self._push(now + rj.phases[phase - 1], PHASE_COMPLETE, rj.job.id)
+        end = now + rj.phases[phase - 1]
+        if end <= rj.start + rj.job.walltime:  # else the walltime event kills the job first
+            self._push(end, PHASE_COMPLETE, rj.job.id)
 
     def _on_phase_complete(self, rj: RunningJob, now) -> None:
         if rj.phase < len(rj.phases):
@@ -342,9 +342,7 @@ class Simulation:
     def _on_pfs_completions(self, now) -> None:
         finished = self.link.finished_ids(now)
         for job_id, role in finished:
-            rj = self.running.get(job_id)
-            if rj is None:
-                continue
+            rj = self.running[job_id]  # a job's transfers end with it
             if role == "in":
                 self._start_phase(rj, now, 1)
             elif (

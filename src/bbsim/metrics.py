@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, TextIO
 
 SLOWDOWN_BOUND_S = 600  # jobs shorter than 10 minutes are bounded
@@ -25,10 +26,11 @@ RECORD_COLUMNS = ("job_id", "submit", "start", "finish", "n_procs", "bb_total", 
 
 @dataclass(frozen=True)
 class JobRecord:
+    """One job's outcome; finish is exact from the engine, a float after read_records."""
     job_id: int
     submit: int
     start: int
-    finish: float
+    finish: int | Fraction | float
     n_procs: int
     bb_total: int
     killed: bool

@@ -86,7 +86,6 @@ def expected_bb_capacity(model: LogNormalModel, n_compute: int) -> int:
 @dataclass(frozen=True)
 class Platform:
     compute_nodes: tuple[int, ...]
-    storage_nodes: tuple[int, ...]
     bb_capacity_per_node: dict[int, int]
     compute_link_bw: int
     pfs_link_bw: int
@@ -136,7 +135,6 @@ def build_platform(cfg: PlatformConfig) -> Platform:
 
     return Platform(
         compute_nodes=compute,
-        storage_nodes=storage,
         bb_capacity_per_node=per_node,
         compute_link_bw=int(cfg.compute_link_bw),
         pfs_link_bw=int(cfg.pfs_link_bw),

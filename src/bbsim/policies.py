@@ -94,6 +94,8 @@ def easy_schedule(
     backfill candidates only; the head stays at the front of the queue.
     With no processor free at now beside those the head holds, no candidate
     can start, so the backfill is skipped; the head reservation is reported.
+    With validate, a re-check catches only this pass's own hold being weaker than
+    the reported reservation: a launch overlapping the hold raises CapacityError first.
     """
     result = CycleResult(launched=fcfs_pass(state))
     if not state.queue:

@@ -63,6 +63,22 @@ def test_io_off_occupies_exactly_runtime():
     assert r.finish - r.start == 137
 
 
+def test_jobs_start_at_the_first_tick_at_or_after_their_submit():
+    # an idle machine: a job submitted on a tick starts then, one just after
+    # waits a period, and one submitted after the queue emptied waits for
+    # the tick after its submit
+    jobs = [replace(one_job(runtime=30, submit=t), id=i) for i, t in enumerate((0, 60, 61, 500))]
+    records = run(small_platform(), jobs, "fcfs", IO_OFF)
+    assert starts(records) == {0: 0, 1: 60, 2: 120, 3: 540}
+
+
+def test_job_submitted_behind_a_wide_job_starts_at_the_tick_after_it_ends():
+    wide = one_job(runtime=150, procs=4)
+    late = replace(one_job(runtime=30, submit=30), id=2)
+    records = run(small_platform(), [wide, late], "fcfs", IO_OFF)
+    assert starts(records) == {1: 0, 2: 180}
+
+
 def test_infeasible_job_rejected():
     from bbsim.engine import InfeasibleError
 
@@ -226,7 +242,6 @@ def launched_at_zero():
         replace(one_job(runtime=50, procs=2, bb=1000), id=2),
     ]
     sim = Simulation(small_platform(), jobs, "fcfs", IO_OFF)
-    sim.queue.update((j.id, j) for j in sim.jobs)
     sim._on_tick(0)
     assert set(sim.running) == {1, 2}
     sim._check_invariants(0)

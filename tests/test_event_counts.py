@@ -1,15 +1,16 @@
 """Every benchmark run dispatches a pinned number of events, and only live ones.
 
 The engine pops no superseded event: the link's next completion lives in one
-slot, and a scheduler tick runs only while a job waits. Each compute phase is
-one event, its checkpoint dump included; a job's queued drain joins its
-active one; a job that moves no bytes gets no walltime event. A change that
-brings back stale link events, idle ticks or a per-dump event moves these
-counts, so it fails here without a timing bound. A change that lowers a
-count updates the pin.
+slot, and a scheduler tick runs only while a job waits. Submissions are no
+events: each tick reads the jobs submitted by then. Each compute phase is one
+event, its checkpoint dump included; a job's queued drain joins its active
+one; a job that moves no bytes gets no walltime event; no phase end past the
+walltime is pushed. A change that brings back submit events, stale link
+events, idle ticks or a per-dump event moves these counts, so it fails here
+without a timing bound. A change that lowers a count updates the pin.
 
 The events that still do nothing are pinned too: the walltime event of a job
-that finished first, and the pending phase end of a job that was killed.
+that finished first. A phase end never finds its job killed.
 
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
@@ -39,25 +40,25 @@ def run(workload, policy):
 # Simulation._dispatch calls per run
 DISPATCHED = {
     "backfill-pressure": {
-        "fcfs": 1693, "filler": 1505, "fcfs-easy": 1660,
-        "fcfs-bb": 1514, "sjf-bb": 1540, "plan": 171,
+        "fcfs": 1193, "filler": 1005, "fcfs-easy": 1160,
+        "fcfs-bb": 1014, "sjf-bb": 1040, "plan": 111,
     },
     "io-lifecycle": {
-        "fcfs": 3955, "filler": 3914, "fcfs-easy": 3937,
-        "fcfs-bb": 3860, "sjf-bb": 3850, "plan": 770,
+        "fcfs": 3524, "filler": 3491, "fcfs-easy": 3513,
+        "fcfs-bb": 3435, "sjf-bb": 3424, "plan": 689,
     },
     "plan-anneal": {
-        "fcfs": 426, "filler": 381, "fcfs-easy": 409,
-        "fcfs-bb": 388, "sjf-bb": 384, "plan": 379,
+        "fcfs": 306, "filler": 261, "fcfs-easy": 289,
+        "fcfs-bb": 268, "sjf-bb": 264, "plan": 259,
     },
 }
 
 
-# no-op job events per io-lifecycle run: (walltime events of finished jobs,
-# phase ends of killed jobs); the other workloads have none
+# no-op job events per io-lifecycle run, all walltime events of finished jobs;
+# the other workloads have none
 NO_OPS = {
-    "fcfs": (163, 131), "filler": (170, 123), "fcfs-easy": (166, 124),
-    "fcfs-bb": (164, 125), "sjf-bb": (166, 126), "plan": (38, 21),
+    "fcfs": 163, "filler": 170, "fcfs-easy": 166,
+    "fcfs-bb": 164, "sjf-bb": 166, "plan": 38,
 }
 
 
@@ -66,8 +67,8 @@ NO_OPS = {
 def test_dispatched_events(workload, policy, monkeypatch):
     dispatched = 0
     no_ops = {engine.WALLTIME_EXPIRED: 0, engine.PHASE_COMPLETE: 0}
-    queue_at_tick: list[int] = []
-    dispatch, on_tick = Simulation._dispatch, Simulation._on_tick
+    queue_at_policy: list[int] = []
+    dispatch = Simulation._dispatch
 
     def counting_dispatch(self, now, event, payload):
         nonlocal dispatched
@@ -76,24 +77,27 @@ def test_dispatched_events(workload, policy, monkeypatch):
             no_ops[event] += 1
         return dispatch(self, now, event, payload)
 
-    def recording_tick(self, now):
-        queue_at_tick.append(len(self.queue))
-        return on_tick(self, now)
+    def recording(fn):  # the queue a tick hands its policy, as the benchmark tracer reads it
+        def wrapper(state, *args, **kwargs):
+            queue_at_policy.append(len(state.queue))
+            return fn(state, *args, **kwargs)
+        return wrapper
 
     monkeypatch.setattr(Simulation, "_dispatch", counting_dispatch)
-    monkeypatch.setattr(Simulation, "_on_tick", recording_tick)
+    for name in ("run_policy", "plan_schedule"):
+        monkeypatch.setattr(engine, name, recording(getattr(engine, name)))
     run(workload, policy)
     assert dispatched == DISPATCHED[workload][policy]
-    expected = NO_OPS[policy] if workload == "io-lifecycle" else (0, 0)
-    assert (no_ops[engine.WALLTIME_EXPIRED], no_ops[engine.PHASE_COMPLETE]) == expected
-    assert queue_at_tick and min(queue_at_tick) > 0, "a tick ran with no job waiting"
+    expected = NO_OPS[policy] if workload == "io-lifecycle" else 0
+    assert no_ops == {engine.WALLTIME_EXPIRED: expected, engine.PHASE_COMPLETE: 0}
+    assert queue_at_policy and min(queue_at_policy) > 0, "a tick ran with no job waiting"
 
 
 # Simulation._push calls per io-lifecycle run: the heap's events, the link's
 # completions (kept in their own slot) not included
 PUSHED = {
-    "fcfs": 2483, "filler": 2426, "fcfs-easy": 2456,
-    "fcfs-bb": 2384, "sjf-bb": 2376, "plan": 461,
+    "fcfs": 2052, "filler": 2003, "fcfs-easy": 2032,
+    "fcfs-bb": 1959, "sjf-bb": 1950, "plan": 380,
 }
 
 

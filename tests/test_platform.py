@@ -15,10 +15,11 @@ from bbsim.platform import (
 def test_default_platform_roles():
     p = build_platform(PlatformConfig())
     assert len(p.compute_nodes) == 96
-    assert len(p.storage_nodes) == 12
-    assert set(p.compute_nodes).isdisjoint(p.storage_nodes)
+    storage = tuple(p.bb_capacity_per_node)
+    assert len(storage) == 12
+    assert set(p.compute_nodes).isdisjoint(storage)
     # one storage node per chassis (9 nodes each), last node of the chassis
-    assert p.storage_nodes == tuple((i + 1) * 9 - 1 for i in range(12))
+    assert storage == tuple((i + 1) * 9 - 1 for i in range(12))
 
 
 def test_build_is_deterministic():
@@ -38,7 +39,7 @@ def test_no_storage_cluster():
     )
     p = build_platform(cfg)
     assert p.total_bb == 0
-    assert p.storage_nodes == ()
+    assert p.bb_capacity_per_node == {}
 
 
 def test_equal_capacity_division():
@@ -48,7 +49,7 @@ def test_equal_capacity_division():
 
 def test_capacity_remainder_to_lowest_ids():
     p = build_platform(PlatformConfig(bb_capacity_total=12 * 10**12 + 5))
-    caps = [p.bb_capacity_per_node[n] for n in sorted(p.storage_nodes)]
+    caps = [p.bb_capacity_per_node[n] for n in sorted(p.bb_capacity_per_node)]
     assert caps[:5] == [10**12 + 1] * 5
     assert caps[5:] == [10**12] * 7
     assert sum(caps) == 12 * 10**12 + 5

@@ -162,11 +162,13 @@ def test_easy_skips_backfill_with_no_free_processor(policy, running, head_start,
 
 
 def test_easy_guarantee_check_fires(monkeypatch):
-    """A backfill that starts a job in the head's reserved processors is caught.
+    """A pass whose hold is weaker than the reported reservation is caught.
 
-    A launch is capacity-checked against the head's hold, so the faulty pass
-    lifts the hold for good before it launches; the EASY pass's own release
-    of the hold then has nothing to give back.
+    The check guards only the EASY pass's own hold arithmetic: a backfill
+    launch that overlaps the hold raises CapacityError first. So this faulty
+    pass lifts the hold for good before it starts a job in the head's
+    reserved processors, as a hold too weak to cover them would; the EASY
+    pass's own release of the hold then has nothing to give back.
     """
     hold = (100, 150, 2, 5)  # the head's reservation: start, end, procs, bytes
 

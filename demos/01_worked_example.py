@@ -8,7 +8,7 @@ then sit idle. Buffer-aware backfilling (fcfs-bb) reserves both resources.
 Run: python3 demos/01_worked_example.py
 """
 
-from bbsim.engine import SimConfig, run
+from bbsim.engine import SimConfig, Simulation
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec
 
@@ -44,7 +44,7 @@ def main():
     ))
     cfg = SimConfig(io_model="off", validate=True)
     for policy in ("fcfs-easy", "fcfs-bb"):
-        records = run(platform, build_jobs(), policy, cfg)
+        records = Simulation(platform, build_jobs(), policy, cfg).run()
         print(f"\n{policy}")
         print("  job  submit  start  finish  (minutes)")
         for r in sorted(records, key=lambda r: (r.start, r.job_id)):

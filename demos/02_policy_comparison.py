@@ -8,7 +8,7 @@ Run: python3 demos/02_policy_comparison.py  (takes a minute or two)
 
 from dataclasses import replace
 
-from bbsim.engine import SimConfig, run
+from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import bounded_slowdown, summarize, waiting_time
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import synthetic_workload
@@ -31,7 +31,7 @@ def main():
     print(f"{'policy':10s} {'mean wait [s]':>14s} {'median':>8s} "
           f"{'mean slowdown':>14s}")
     for policy in POLICIES:
-        records = run(platform, jobs, policy, SimConfig(io_model="off"))
+        records = Simulation(platform, jobs, policy, SimConfig(io_model="off")).run()
         waits = summarize(records, waiting_time)
         slows = summarize(records, bounded_slowdown)
         median = dict(waits.quantiles)[0.5]

@@ -43,12 +43,12 @@ def main():
     job = JobSpec(id=1, submit_time=0, runtime=90, walltime=900,
                   n_procs=1, bb_total_bytes=1000, n_phases=3)
 
-    sim = Simulation(platform, [job], "fcfs", SimConfig(collect_trace=True))
-    (record,) = sim.run()
+    trace: list[dict] = []
+    (record,) = Simulation(platform, [job], "fcfs", SimConfig(), sink=trace.append).run()
     print("pure compute time:", job.runtime, "s")
     print("wall clock with data movement:", record.finish - record.start, "s")
     print("trace:")
-    for entry in sim.trace:
+    for entry in trace:
         print(f"  t={entry['t']:7.1f}  {entry['event']}")
 
     print("\nfair sharing of the file-system link (100 B each, 10 B/s):")

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 input error, 2 internal assertion failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -120,7 +121,6 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> 
         tick_period_s=config["tick_period_s"],
         io_model=config["io_model"],
         seed=config["seed"],
-        collect_trace=trace_path is not None,
     )
     anneal_cfg = None
     if config["policy"] == "plan":
@@ -130,14 +130,12 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> 
             n_cooling=config["sa_n"],
             m_steps=config["sa_m"],
         )
-    sim = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg)
-    records = sim.run()
+    # opened first, written as the run goes: a failed run keeps its lines so far
+    with open(trace_path, "w") if trace_path is not None else contextlib.nullcontext() as trace:
+        sink = None if trace is None else lambda entry: trace.write(json.dumps(entry) + "\n")
+        records = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg, sink).run()
     with open(records_path, "w") as f:
         write_records(f, records)
-    if trace_path is not None:
-        with open(trace_path, "w") as f:
-            for entry in sim.trace:
-                f.write(json.dumps(entry) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -218,6 +216,10 @@ def cmd_analyze(args) -> int:
     if not records:
         raise InputError("no records found")
     policies = sorted({r.policy for r in records})
+    if args.reference and not args.split:
+        raise InputError("--reference requires --split")
+    if args.reference and args.reference not in policies:
+        raise InputError(f"reference policy {args.reference!r} has no records")
 
     groups: dict[tuple[str, int | None], list[JobRecord]] = {}
     for r in records:
@@ -251,10 +253,6 @@ def cmd_analyze(args) -> int:
                     f.write(f"{policy},{metric_name},{rank},{value!r}\n")
 
     if args.reference:
-        if not args.split:
-            raise InputError("--reference requires --split")
-        if args.reference not in policies:
-            raise InputError(f"reference policy {args.reference!r} has no records")
         norm_path = os.path.join(args.outdir, "normalized.csv")
         with open(norm_path, "w") as f:
             f.write("policy,part,metric,mean,normalized\n")
@@ -292,6 +290,10 @@ def cmd_gantt(args) -> int:
                     if event in ("launch", "finish", "kill"):
                         job, t = entry["job"], entry["t"]
                         if event == "launch":
+                            if not isinstance(entry.get("nodes", []), list):
+                                raise TypeError("'nodes' must be a list")
+                            if not isinstance(entry.get("bb_shares", {}), dict):
+                                raise TypeError("'bb_shares' must be an object")
                             launches[job] = entry
                         else:
                             ends[job] = t
@@ -350,13 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (platform section)")
     p.add_argument("--policy", default="fcfs-bb",
                    choices=POLICY_NAMES)
-    p.add_argument("--alpha", type=float, default=2.0, help="plan policy exponent")
-    p.add_argument("--sa-r", type=float, default=0.9, dest="sa_r")
-    p.add_argument("--sa-n", type=int, default=30, dest="sa_n")
-    p.add_argument("--sa-m", type=int, default=6, dest="sa_m")
+    anneal, sim = AnnealConfig(), SimConfig()
+    p.add_argument("--alpha", type=float, default=anneal.alpha, help="plan policy exponent")
+    p.add_argument("--sa-r", type=float, default=anneal.r, dest="sa_r")
+    p.add_argument("--sa-n", type=int, default=anneal.n_cooling, dest="sa_n")
+    p.add_argument("--sa-m", type=int, default=anneal.m_steps, dest="sa_m")
     p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--io-model", choices=["on", "off"], default="on")
-    p.add_argument("--tick", type=int, default=60, help="scheduler period [s]")
+    p.add_argument("--io-model", choices=["on", "off"], default=sim.io_model)
+    p.add_argument("--tick", type=int, default=sim.tick_period_s, help="scheduler period [s]")
     p.add_argument("--trace", help="write a JSON-lines event trace here")
     p.add_argument("-o", "--output", required=True, help="records CSV path")
     p.add_argument("--manifest", default="manifest.json", help="run manifest path")

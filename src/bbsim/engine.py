@@ -12,12 +12,14 @@ then event priority, then push order; the heap key leads with the time as a
 float only so that most comparisons are one float comparison.
 
 Jobs enter the queue only at a scheduler tick, which reads every job submitted
-by then and traces it at its submit time; the heap holds one tick while jobs
-wait or remain unsubmitted. The link's next completion waits in one slot beside
-the heap, overwritten at each change of the link. Phase and walltime events
-carry the job id alone, and no phase end past the walltime is pushed, so the
-only events that find their job ended are walltime events of jobs that finished
-first. A job that moves no bytes gets no walltime event: it ends within it.
+by then; the heap holds one tick while jobs wait or remain unsubmitted. The
+link's next completion waits in one slot beside the heap, overwritten at each
+change of the link. Phase and walltime events carry the job id alone, and no
+phase end past the walltime is pushed, so the only events that find their job
+ended are walltime events of jobs that finished first. A job that moves no
+bytes gets no walltime event: it ends within it. An optional sink gets each
+trace line's dict as it happens, with the time "t" of its event; a submit line
+has its tick's time, and the job's own in "submit", so lines run in time order.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ class SimConfig:
     io_model: str = "on"  # "on" | "off"
     seed: int = 0
     validate: bool = False
-    collect_trace: bool = False
 
     def __post_init__(self):
         for name in ("tick_period_s", "seed"):
@@ -143,6 +144,7 @@ class Simulation:
         policy: str,
         sim_cfg: SimConfig | None = None,
         anneal_cfg: AnnealConfig | None = None,
+        sink=None,
     ):
         self.platform = platform
         self.jobs = sorted(jobs, key=lambda j: (j.submit_time, j.id))
@@ -176,7 +178,7 @@ class Simulation:
         self.bb_free = dict(platform.bb_capacity_per_node)
         self.link = FairShareLink(platform.pfs_link_bw)
         self.records: list[JobRecord] = []
-        self.trace: list[dict] = []
+        self.sink = sink  # called with each trace line's dict as it happens
         self.head_reservations: list[tuple[int, object]] = []  # (tick time, HeadReservation)
         self.plan_stats: list[SearchStats] = []
         self._heap: list = []
@@ -201,10 +203,6 @@ class Simulation:
         if self.queue or self._unsubmitted:
             at = now + tick if self.queue else -(-self._unsubmitted[-1].submit_time // tick) * tick
             self._push(at, SCHEDULER_TICK)
-
-    def _trace(self, now, event: str, **data) -> None:
-        if self.cfg.collect_trace:
-            self.trace.append({"t": float(now), "event": event, **data})
 
     def run(self) -> list[JobRecord]:
         self._push_next_tick(0)
@@ -238,7 +236,9 @@ class Simulation:
         while pending and pending[-1].submit_time <= now:
             job = pending.pop()
             self.queue[job.id] = job
-            self._trace(job.submit_time, "submit", job=job.id)
+            if self.sink is not None:
+                self.sink({"t": float(now), "event": "submit", "job": job.id,
+                           "submit": float(job.submit_time)})
         state = SchedulerState(self.queue, self.profile, now)
         if self.policy_name == "plan":
             stats = SearchStats()
@@ -273,7 +273,9 @@ class Simulation:
             start=now,
         )
         self.running[job.id] = rj
-        self._trace(now, "launch", job=job.id, nodes=nodes, bb_shares=rj.bb_shares)
+        if self.sink is not None:
+            self.sink({"t": float(now), "event": "launch", "job": job.id,
+                       "nodes": nodes, "bb_shares": rj.bb_shares})
         if io_bytes:  # else the job ends at start + runtime, within its walltime
             self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
             self._start_pfs_transfer(now, (job.id, "in"), io_bytes)
@@ -319,7 +321,8 @@ class Simulation:
                 policy=self.policy_name,
             )
         )
-        self._trace(now, "kill" if killed else "finish", job=job.id)
+        if self.sink is not None:
+            self.sink({"t": float(now), "event": "kill" if killed else "finish", "job": job.id})
 
     def _kill(self, rj: RunningJob, now) -> None:
         live = [key for key in self.link.active if key[0] == rj.job.id]
@@ -342,7 +345,9 @@ class Simulation:
     def _on_pfs_completions(self, now) -> None:
         finished = self.link.finished_ids(now)
         for job_id, role in finished:
-            rj = self.running[job_id]  # a job's transfers end with it
+            rj = self.running.get(job_id)
+            if rj is None:  # its drain and stage-out ended together, and the first finished it
+                continue
             if role == "in":
                 self._start_phase(rj, now, 1)
             elif (
@@ -368,15 +373,3 @@ class Simulation:
         for node, free in self.bb_free.items():
             cap = self.platform.bb_capacity_per_node[node]
             assert 0 <= free <= cap, f"storage node {node} share out of range"
-
-
-def run(
-    platform: Platform,
-    jobs: list[JobSpec],
-    policy: str,
-    sim_cfg: SimConfig | None = None,
-    anneal_cfg: AnnealConfig | None = None,
-) -> list[JobRecord]:
-    """Run one simulation and return per-job records."""
-    return Simulation(platform, jobs, policy, sim_cfg, anneal_cfg).run()
-

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 
 
@@ -18,6 +19,11 @@ class LogNormalModel:
     sigma: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not real or not math.isfinite(value):  # nan and inf are not real numbers
+                raise ConfigurationError(f"{name} must be a real number, got {value!r}")
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be > 0")
 
@@ -80,7 +86,11 @@ def expected_bb_capacity(model: LogNormalModel, n_compute: int) -> int:
 
     n_compute times the log-normal mean, rounded down to whole bytes.
     """
-    return math.floor(n_compute * model.mean())
+    try:
+        return math.floor(n_compute * model.mean())
+    except OverflowError:
+        raise ConfigurationError(f"burst-buffer capacity overflows with mu {model.mu!r}, "
+                                 f"sigma {model.sigma!r}") from None
 
 
 @dataclass(frozen=True)

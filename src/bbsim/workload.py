@@ -119,7 +119,11 @@ def synthesize_bb(jobs: list[JobSpec], model: LogNormalModel, seed: int) -> list
     out = []
     for job in jobs:
         rng = _job_rng(seed, job.id, 0)
-        bb = int(round(rng.lognormal(model.mu, model.sigma)))
+        draw = rng.lognormal(model.mu, model.sigma)
+        if not math.isfinite(draw):
+            raise ValueError(f"job {job.id}: burst-buffer draw overflows with mu {model.mu!r}, "
+                             f"sigma {model.sigma!r}")
+        bb = int(round(draw))
         out.append(replace(job, bb_per_proc=max(bb, 0)))
     return out
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.cli import main as cli_main
-from bbsim.engine import SimConfig, Simulation, run
+from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import bounded_slowdown, waiting_time
 from bbsim.planner import (
     AnnealConfig, SearchStats, anneal, build_plan, demands, exhaustive, initial_candidates,
@@ -303,8 +303,8 @@ def pressure_results(platform96):
     jobs = clamp_bb(jobs, platform96)
     out = {}
     for policy in ("fcfs-easy", "fcfs-bb", "sjf-bb", "filler", "plan"):
-        out[policy] = run(platform96, jobs, policy,
-                          SimConfig(io_model="off", seed=1))
+        out[policy] = Simulation(platform96, jobs, policy,
+                                 SimConfig(io_model="off", seed=1)).run()
     return out
 
 

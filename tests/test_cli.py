@@ -3,9 +3,10 @@ from dataclasses import replace
 
 import pytest
 
-from bbsim.cli import CONFIG_KEYS, main
+from bbsim.cli import CONFIG_KEYS, build_parser, main
+from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import read_records
-from bbsim.planner import MAX_ALPHA
+from bbsim.planner import MAX_ALPHA, AnnealConfig
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import (
     JobSpec, PART_SECONDS, read_workload, synthetic_workload, write_workload,
@@ -100,6 +101,17 @@ def test_convert_missing_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu, message", [
+    ("1000", "burst-buffer draw overflows with mu 1000.0"),
+    ("nan", "mu must be a real number, got nan"),
+])
+def test_convert_bad_request_model_is_input_error(tmp_path, swf_file, capsys, mu, message):
+    assert main(["convert", str(swf_file), "-o", str(tmp_path / "out.jsonl"),
+                 "--mu", mu]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_simulate_golden_fixture(tmp_path, table1_workload, table1_config):
     out = simulate_table1(tmp_path, table1_workload, table1_config, "records.csv")
     with open(out) as f:
@@ -134,6 +146,49 @@ def test_from_manifest_detects_changed_workload(tmp_path, table1_workload,
     assert main(["simulate", "--from-manifest", str(tmp_path / "manifest.json"),
                  "-o", str(tmp_path / "replay.csv")]) == 1
     assert "changed" in capsys.readouterr().err
+
+
+def test_simulate_trace_keeps_the_lines_written_before_a_failure(
+        tmp_path, table1_workload, table1_config, capsys, monkeypatch):
+    simulate_table1(tmp_path, table1_workload, table1_config, "full.csv", trace="full.jsonl")
+    full = (tmp_path / "full.jsonl").read_text().splitlines()
+    finish, calls = Simulation._finish, 0
+
+    def failing_finish(self, rj, now, killed):  # the third job to end fails the run
+        nonlocal calls
+        calls += 1
+        assert calls < 3, "injected failure"
+        finish(self, rj, now, killed)
+
+    monkeypatch.setattr(Simulation, "_finish", failing_finish)
+    trace = tmp_path / "cut.jsonl"
+    assert main(["simulate", "--workload", str(table1_workload), "--config", str(table1_config),
+                 "--policy", "fcfs-easy", "--io-model", "off", "--trace", str(trace),
+                 "-o", str(tmp_path / "cut.csv"), "--manifest", str(tmp_path / "m.json")]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    third_end = [i for i, line in enumerate(full) if '"event": "finish"' in line][2]
+    assert trace.read_text().splitlines() == full[:third_end]
+
+
+def test_simulate_bad_trace_path_fails_before_the_run(tmp_path, table1_workload,
+                                                      table1_config, capsys):
+    records = tmp_path / "r.csv"
+    assert main(["simulate", "--workload", str(table1_workload), "--config", str(table1_config),
+                 "--trace", str(tmp_path / "no" / "trace.jsonl"), "-o", str(records),
+                 "--manifest", str(tmp_path / "m.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not records.exists()
+
+
+def test_simulate_defaults_are_the_config_defaults(monkeypatch):
+    monkeypatch.setenv("BBSIM_SEED", "7")
+    args = build_parser().parse_args(["simulate", "-o", "r.csv"])
+    anneal, sim = AnnealConfig(), SimConfig()
+    assert (args.alpha, args.sa_r, args.sa_n, args.sa_m) == (
+        anneal.alpha, anneal.r, anneal.n_cooling, anneal.m_steps)
+    assert (args.io_model, args.tick) == (sim.io_model, sim.tick_period_s)
+    assert args.seed == 7
 
 
 def test_simulate_requires_workload(tmp_path, capsys):
@@ -224,6 +279,9 @@ def test_simulate_negative_submit_time_is_input_error(tmp_path, table1_config, c
     ({"platform": [4]}, "must be a JSON object"),
     ([4], "must hold a JSON object"),
     ({"platform": {"n_compute_nodes": "96"}}, "n_compute_nodes must be an integer"),
+    ({"platform": {"bb_request_model": {"mu": "x", "sigma": 1.0}}}, "mu must be a real number"),
+    ({"platform": {"bb_request_model": {"mu": 1000, "sigma": 1.0}}},
+     "capacity overflows with mu 1000, sigma 1.0"),
 ])
 def test_simulate_bad_platform_config_is_input_error(tmp_path, table1_workload, capsys,
                                                      document, message):
@@ -417,12 +475,28 @@ def test_analyze_outputs(tmp_path, table1_workload, table1_config):
     assert ref_rows and all(l.endswith(",1.0") for l in ref_rows)
 
 
+def analyze_writes_nothing(tmp_path, table1_workload, table1_config, capsys, flags, message):
+    path = simulate_table1(tmp_path, table1_workload, table1_config, "r.csv")
+    capsys.readouterr()
+    outdir = tmp_path / "analysis"
+    outdir.mkdir()
+    assert main(["analyze", str(path), *flags, "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert list(outdir.iterdir()) == []
+
+
 def test_analyze_reference_requires_split(tmp_path, table1_workload,
                                           table1_config, capsys):
-    path = simulate_table1(tmp_path, table1_workload, table1_config, "r.csv")
-    assert main(["analyze", str(path), "--reference", "sjf-bb",
-                 "-o", str(tmp_path / "analysis")]) == 1
-    assert "--split" in capsys.readouterr().err
+    analyze_writes_nothing(tmp_path, table1_workload, table1_config, capsys,
+                           ["--reference", "fcfs-easy"], "--reference requires --split")
+
+
+def test_analyze_reference_without_records_writes_nothing(tmp_path, table1_workload,
+                                                          table1_config, capsys):
+    analyze_writes_nothing(tmp_path, table1_workload, table1_config, capsys,
+                           ["--split", "--reference", "sjf-bb"],
+                           "reference policy 'sjf-bb' has no records")
 
 
 def test_analyze_no_records(tmp_path, capsys):
@@ -452,7 +526,11 @@ def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     assert "finish, n_procs, bb_total, killed, policy" in err
 
 
-@pytest.mark.parametrize("line", ['{"t": 0}', "[1, 2]", '{"event": "finish", "job": 1}'])
+@pytest.mark.parametrize("line", [
+    '{"t": 0}', "[1, 2]", '{"event": "finish", "job": 1}',
+    '{"t": 0.0, "event": "launch", "job": 1, "nodes": 5}',
+    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": [1]}',
+])
 def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
     trace = tmp_path / "trace.jsonl"
     trace.write_text('{"t": 0.0, "event": "submit", "job": 1}\n' + line + "\n")

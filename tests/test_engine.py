@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsim.engine import FairShareLink, SimConfig, Simulation, run
+from bbsim.engine import FairShareLink, SimConfig, Simulation
 from bbsim.planner import AnnealConfig
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload
@@ -47,11 +47,11 @@ def starts(records):
 
 
 def test_empty_workload():
-    assert run(small_platform(), [], "fcfs") == []
+    assert Simulation(small_platform(), [], "fcfs").run() == []
 
 
 def test_single_job_no_io():
-    records = run(small_platform(), [one_job(runtime=100)], "fcfs", IO_OFF)
+    records = Simulation(small_platform(), [one_job(runtime=100)], "fcfs", IO_OFF).run()
     (r,) = records
     assert (r.start, r.finish, r.killed) == (0, 100, False)
 
@@ -59,7 +59,7 @@ def test_single_job_no_io():
 def test_io_off_occupies_exactly_runtime():
     # fixture mode: burst buffer held but no transfers simulated
     job = one_job(runtime=137, bb=5_000)
-    (r,) = run(small_platform(), [job], "fcfs", IO_OFF)
+    (r,) = Simulation(small_platform(), [job], "fcfs", IO_OFF).run()
     assert r.finish - r.start == 137
 
 
@@ -68,14 +68,14 @@ def test_jobs_start_at_the_first_tick_at_or_after_their_submit():
     # waits a period, and one submitted after the queue emptied waits for
     # the tick after its submit
     jobs = [replace(one_job(runtime=30, submit=t), id=i) for i, t in enumerate((0, 60, 61, 500))]
-    records = run(small_platform(), jobs, "fcfs", IO_OFF)
+    records = Simulation(small_platform(), jobs, "fcfs", IO_OFF).run()
     assert starts(records) == {0: 0, 1: 60, 2: 120, 3: 540}
 
 
 def test_job_submitted_behind_a_wide_job_starts_at_the_tick_after_it_ends():
     wide = one_job(runtime=150, procs=4)
     late = replace(one_job(runtime=30, submit=30), id=2)
-    records = run(small_platform(), [wide, late], "fcfs", IO_OFF)
+    records = Simulation(small_platform(), [wide, late], "fcfs", IO_OFF).run()
     assert starts(records) == {1: 0, 2: 180}
 
 
@@ -83,7 +83,7 @@ def test_infeasible_job_rejected():
     from bbsim.engine import InfeasibleError
 
     with pytest.raises(InfeasibleError):
-        run(small_platform(bb=10), [one_job(bb=11)], "fcfs")
+        Simulation(small_platform(bb=10), [one_job(bb=11)], "fcfs").run()
 
 
 @pytest.mark.parametrize("policy", ["bogus", "PLAN", "fcfs "])
@@ -98,7 +98,7 @@ def test_three_phase_lifecycle_timeline():
     # checkpoint [90,110), phase [110,140), stage-out [140,150).
     # each drain (1000 B, 10 s) overlaps the next compute phase.
     job = one_job(runtime=90, bb=1000, phases=3)
-    (r,) = run(small_platform(), [job], "fcfs", SimConfig(validate=True))
+    (r,) = Simulation(small_platform(), [job], "fcfs", SimConfig(validate=True)).run()
     assert r.start == 0
     assert r.finish == 150
 
@@ -108,7 +108,7 @@ def test_drain_backlog_is_fifo_and_byte_exact():
     # checkpoint completes, so the second drain queues behind it.
     job = one_job(runtime=30, walltime=1000, bb=1000, phases=3)
     platform = small_platform(pfs_bw=10, compute_bw=1000)
-    (r,) = run(platform, [job], "fcfs", SimConfig(validate=True))
+    (r,) = Simulation(platform, [job], "fcfs", SimConfig(validate=True)).run()
     # stage-in 100 s, phases at 100/111/122, compute done 132; stage-out and
     # drain 1 share the link from 132 (drain 1 done 290), drain 2 from 290
     # (stage-out done 332), drain 2 alone after that (done 411).
@@ -129,7 +129,7 @@ def test_total_io_time_matches_link_capacity():
 def test_walltime_kill_under_io_stretch():
     # walltime equals pure compute time, so stage-in pushes past the limit
     job = one_job(runtime=60, walltime=60, bb=1000, phases=1)
-    (r,) = run(small_platform(pfs_bw=100), [job], "fcfs", SimConfig(validate=True))
+    (r,) = Simulation(small_platform(pfs_bw=100), [job], "fcfs", SimConfig(validate=True)).run()
     assert r.killed
     assert r.finish == 60
     assert r.finish - r.start == job.walltime
@@ -137,7 +137,7 @@ def test_walltime_kill_under_io_stretch():
 
 def test_finish_at_walltime_boundary_is_not_a_kill():
     job = one_job(runtime=60, walltime=60)
-    (r,) = run(small_platform(), [job], "fcfs", IO_OFF)
+    (r,) = Simulation(small_platform(), [job], "fcfs", IO_OFF).run()
     assert not r.killed
     assert r.finish == 60
 
@@ -149,7 +149,7 @@ def test_kill_releases_resources():
         JobSpec(id=2, submit_time=0, runtime=60, walltime=60, n_procs=1,
                 bb_total_bytes=10_000, n_phases=1),
     ]
-    records = run(small_platform(pfs_bw=100), jobs, "fcfs", SimConfig(validate=True))
+    records = Simulation(small_platform(pfs_bw=100), jobs, "fcfs", SimConfig(validate=True)).run()
     assert all(r.killed for r in records)
     assert starts(records) == {1: 0, 2: 60}
 
@@ -166,8 +166,8 @@ def test_kill_mid_checkpoint_ignores_the_dump():
         JobSpec(id=2, submit_time=0, runtime=45, walltime=1000, n_procs=1,
                 bb_total_bytes=1000),
     ]
-    records = run(small_platform(pfs_bw=100, compute_bw=50), jobs, "fcfs",
-                  SimConfig(validate=True))
+    records = Simulation(small_platform(pfs_bw=100, compute_bw=50), jobs, "fcfs",
+                         SimConfig(validate=True)).run()
     assert [(r.job_id, r.finish, r.killed) for r in records] == [
         (1, 60, True), (2, 75, False)]
 
@@ -206,7 +206,8 @@ def test_events_ordered_by_exact_time_below_float_resolution(walltime, finish, k
     # so the stage-out completes at 101 + 1/P: after a walltime of 101 by
     # 1/P s, though float(101 + 1/P) == 101.0, and before a walltime of 102
     job = one_job(runtime=100, walltime=walltime, bb=(P + 1) // 2, phases=1)
-    (r,) = run(small_platform(pfs_bw=P, bb=P), [job], "fcfs", SimConfig(validate=True))
+    platform = small_platform(pfs_bw=P, bb=P)
+    (r,) = Simulation(platform, [job], "fcfs", SimConfig(validate=True)).run()
     assert float(Fraction(101 * P + 1, P)) == 101.0
     assert (r.finish, r.killed) == (finish, killed)
 
@@ -268,14 +269,14 @@ TABLE1_BB_STARTS = {1: 0, 2: 0, 4: 120, 3: 600}
 
 
 def test_worked_example_backfilling(table1_platform, table1_jobs):
-    records = run(table1_platform, table1_jobs, "fcfs-easy", IO_OFF)
+    records = Simulation(table1_platform, table1_jobs, "fcfs-easy", IO_OFF).run()
     got = starts(records)
     for jid, start in TABLE1_EASY_STARTS.items():
         assert got[jid] == start, f"job {jid}"
 
 
 def test_worked_example_buffer_aware_backfilling(table1_platform, table1_jobs):
-    records = run(table1_platform, table1_jobs, "fcfs-bb", IO_OFF)
+    records = Simulation(table1_platform, table1_jobs, "fcfs-bb", IO_OFF).run()
     got = starts(records)
     for jid, start in TABLE1_BB_STARTS.items():
         assert got[jid] == start, f"job {jid}"
@@ -283,7 +284,7 @@ def test_worked_example_buffer_aware_backfilling(table1_platform, table1_jobs):
 
 def test_worked_example_all_policies_complete(table1_platform, table1_jobs):
     for policy in ("fcfs", "fcfs-easy", "filler", "fcfs-bb", "sjf-bb", "plan"):
-        records = run(table1_platform, table1_jobs, policy, IO_OFF)
+        records = Simulation(table1_platform, table1_jobs, policy, IO_OFF).run()
         assert len(records) == 8, policy
         assert not any(r.killed for r in records), policy
 
@@ -292,31 +293,52 @@ def test_determinism_across_runs():
     jobs = synthetic_workload(60, seed=7, max_procs=4)
     platform = small_platform(bb=0)
     for policy in ("fcfs-easy", "plan"):
-        a = run(platform, jobs, policy, SimConfig(io_model="off", seed=1))
-        b = run(platform, jobs, policy, SimConfig(io_model="off", seed=1))
+        a = Simulation(platform, jobs, policy, SimConfig(io_model="off", seed=1)).run()
+        b = Simulation(platform, jobs, policy, SimConfig(io_model="off", seed=1)).run()
         assert a == b, policy
 
 
 def test_io_on_never_beats_io_off():
     jobs = [one_job(runtime=300, bb=2000, phases=4)]
     platform = small_platform()
-    (off,) = run(platform, jobs, "fcfs", SimConfig(io_model="off"))
-    (on,) = run(platform, jobs, "fcfs", SimConfig(io_model="on"))
+    (off,) = Simulation(platform, jobs, "fcfs", SimConfig(io_model="off")).run()
+    (on,) = Simulation(platform, jobs, "fcfs", SimConfig(io_model="on")).run()
     assert on.finish > off.finish
 
 
 def test_trace_collection():
-    sim = Simulation(
-        small_platform(), [one_job(runtime=60, bb=100)], "fcfs",
-        SimConfig(collect_trace=True),
-    )
+    lines: list[dict] = []
+    sim = Simulation(small_platform(), [one_job(runtime=60, bb=100, submit=30)], "fcfs",
+                     sink=lines.append)
     sim.run()
-    events = [e["event"] for e in sim.trace]
-    assert events.count("submit") == 1
-    assert events.count("launch") == 1
-    assert events.count("finish") == 1
-    launch = next(e for e in sim.trace if e["event"] == "launch")
-    assert sum(launch["bb_shares"].values()) == 100
+    # the tick at 60 queues the job submitted at 30 and launches it; it stages
+    # 100 B in and out at 100 B/s around its 60 s of compute
+    assert [(e["t"], e["event"]) for e in lines] == [
+        (60, "submit"), (60, "launch"), (122, "finish")]
+    assert lines[0]["submit"] == 30
+    assert sum(lines[1]["bb_shares"].values()) == 100
+
+
+def test_drain_and_stage_out_ending_together_finish_the_job_once():
+    # job 2's last drain and its stage-out both end at 863/12 s; job 1
+    # queues its stage-in on the link and is killed at its walltime
+    platform = build_platform(PlatformConfig(
+        n_compute_nodes=10, n_storage_nodes=1, groups=1, chassis_per_group=1,
+        routers_per_chassis=1, nodes_per_router=11,
+        compute_link_bw=8, pfs_link_bw=2, bb_capacity_total=2000,
+    ))
+    jobs = [
+        JobSpec(id=1, submit_time=3, runtime=1, walltime=62, n_procs=1, bb_total_bytes=50),
+        JobSpec(id=2, submit_time=0, runtime=53, walltime=72, n_procs=1, bb_total_bytes=7,
+                n_phases=10),
+    ]
+    for validate in (False, True):
+        lines: list[dict] = []
+        cfg = SimConfig(tick_period_s=1, validate=validate)
+        records = Simulation(platform, jobs, "fcfs", cfg, sink=lines.append).run()
+        assert [(r.job_id, r.finish, r.killed) for r in records] == [
+            (1, 65, True), (2, Fraction(863, 12), False)]
+        assert [e["event"] for e in lines if e["job"] == 2] == ["submit", "launch", "finish"]
 
 
 # -- shared-link sharing discipline -------------------------------------------

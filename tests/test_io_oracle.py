@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbsim.engine import SimConfig, run
+from bbsim.engine import SimConfig, Simulation
 from bbsim.platform import PlatformConfig, build_platform
 from bbsim.workload import JobSpec
 from io_oracle import lifecycle_outcomes
@@ -42,7 +42,7 @@ def test_engine_matches_lifecycle_oracle(n_jobs, data, tick, pfs_bw, compute_bw)
         compute_link_bw=compute_bw, pfs_link_bw=pfs_bw, bb_capacity_total=MAX_JOBS * MAX_BB,
     ))
     cfg = SimConfig(tick_period_s=tick, io_model="on", validate=True)
-    records = run(platform, jobs, "fcfs", cfg)
+    records = Simulation(platform, jobs, "fcfs", cfg).run()
     expected = lifecycle_outcomes(jobs, tick, pfs_bw, compute_bw)
     assert {r.job_id: (r.finish, r.killed) for r in records} == expected
     assert all(r.start == -(-job.submit_time // tick) * tick for r, job in zip(records, jobs))

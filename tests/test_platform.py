@@ -101,3 +101,18 @@ def test_expected_capacity_closed_form_values():
 def test_sigma_must_be_positive():
     with pytest.raises(ConfigurationError):
         LogNormalModel(mu=0.0, sigma=0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu", "x"), ("mu", math.nan), ("mu", math.inf), ("mu", True),
+    ("sigma", None), ("sigma", math.nan), ("sigma", math.inf),
+])
+def test_request_model_parameters_must_be_real(field, value):
+    with pytest.raises(ConfigurationError, match=f"{field} must be a real number"):
+        LogNormalModel(**{"mu": 0.0, "sigma": 1.0, field: value})
+
+
+@pytest.mark.parametrize("mu, sigma", [(1000.0, 1.0), (0.0, 1e200), (709.0, 1.0)])
+def test_overflowing_expected_capacity_is_a_configuration_error(mu, sigma):
+    with pytest.raises(ConfigurationError, match="capacity overflows"):
+        build_platform(PlatformConfig(bb_request_model=LogNormalModel(mu, sigma)))

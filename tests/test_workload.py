@@ -72,6 +72,12 @@ def test_synthesize_bb_point_mass():
         assert job.bb_total == 2 * job.bb_per_proc
 
 
+def test_synthesize_bb_overflowing_draw_is_value_error():
+    jobs = [JobSpec(id=3, submit_time=0, runtime=60, walltime=60, n_procs=2)]
+    with pytest.raises(ValueError, match="job 3: burst-buffer draw overflows with mu 1000"):
+        synthesize_bb(jobs, LogNormalModel(mu=1000.0, sigma=1.0), seed=7)
+
+
 def test_synthesize_bb_deterministic_and_seed_sensitive():
     jobs = [JobSpec(id=i, submit_time=0, runtime=60, walltime=60, n_procs=1) for i in range(50)]
     model = LogNormalModel(mu=math.log(4e9), sigma=1.0)

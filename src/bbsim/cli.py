@@ -113,7 +113,9 @@ CONFIG_KEYS = (
 )
 
 
-def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> None:
+def _run_simulation(config: dict, records_path: str, trace_path: str | None,
+                    manifest_path: str | None = None) -> None:
+    """Run config's simulation; write its records, and a manifest if a path is given."""
     platform = build_platform(_platform_from_config(config["platform"]))
     with open(config["workload"]) as f:
         jobs, _ = read_workload(f)
@@ -130,12 +132,24 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None) -> 
             n_cooling=config["sa_n"],
             m_steps=config["sa_m"],
         )
-    # opened first, written as the run goes: a failed run keeps its lines so far
-    with open(trace_path, "w") if trace_path is not None else contextlib.nullcontext() as trace:
-        sink = None if trace is None else lambda entry: trace.write(json.dumps(entry) + "\n")
-        records = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg, sink).run()
-    with open(records_path, "w") as f:
-        write_records(f, records)
+    sim = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg)
+    # every output is opened once the input is accepted and before the run, so
+    # a bad path fails before any simulation; the trace is written as the run
+    # goes, so a failed run keeps its lines so far
+    with contextlib.ExitStack() as outputs:
+        trace, records_file, manifest_file = (
+            None if path is None else outputs.enter_context(open(path, "w"))
+            for path in (trace_path, records_path, manifest_path)
+        )
+        if trace is not None:
+            sim.sink = lambda entry: trace.write(json.dumps(entry) + "\n")
+        write_records(records_file, sim.run())
+        if manifest_file is not None:
+            manifest = {"tool": "bbsim", "version": __version__, "command": "simulate",
+                        "config": config, "workload_sha256": _sha256(config["workload"]),
+                        "records": records_path, "trace": trace_path}
+            json.dump(manifest, manifest_file, indent=2, sort_keys=True)
+            manifest_file.write("\n")
 
 
 def cmd_simulate(args) -> int:
@@ -184,19 +198,7 @@ def cmd_simulate(args) -> int:
         "io_model": args.io_model,
         "tick_period_s": args.tick,
     }
-    _run_simulation(config, args.output, args.trace)
-    manifest = {
-        "tool": "bbsim",
-        "version": __version__,
-        "command": "simulate",
-        "config": config,
-        "workload_sha256": _sha256(args.workload),
-        "records": args.output,
-        "trace": args.trace,
-    }
-    with open(args.manifest, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _run_simulation(config, args.output, args.trace, args.manifest)
     print(f"wrote {args.output} and {args.manifest}")
     return 0
 
@@ -290,10 +292,13 @@ def cmd_gantt(args) -> int:
                     if event in ("launch", "finish", "kill"):
                         job, t = entry["job"], entry["t"]
                         if event == "launch":
-                            if not isinstance(entry.get("nodes", []), list):
-                                raise TypeError("'nodes' must be a list")
-                            if not isinstance(entry.get("bb_shares", {}), dict):
+                            nodes = entry.get("nodes", [])
+                            if not (isinstance(nodes, list) and all(type(n) is int for n in nodes)):
+                                raise TypeError("'nodes' must be a list of ints")
+                            shares = entry.get("bb_shares", {})
+                            if not isinstance(shares, dict):
                                 raise TypeError("'bb_shares' must be an object")
+                            entry["bb_shares"] = {int(k): v for k, v in shares.items()}
                             launches[job] = entry
                         else:
                             ends[job] = t
@@ -314,10 +319,9 @@ def cmd_gantt(args) -> int:
     for entry in ordered[: args.first]:
         job = entry["job"]
         finish = ends.get(job, math.nan)
-        shares = {int(k): v for k, v in entry.get("bb_shares", {}).items()}
         for node in entry["nodes"]:
             rows.append((job, node, entry["t"], finish, 0))
-        for node, share in sorted(shares.items()):
+        for node, share in sorted(entry["bb_shares"].items()):
             rows.append((job, node, entry["t"], finish, share))
     with open(args.output, "w") as f:
         f.write("job_id,node_id,start,finish,bb_bytes\n")

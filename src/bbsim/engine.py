@@ -6,10 +6,11 @@ of the three moves the job's burst-buffer request. The dump (compute to
 burst buffer) runs at the compute link rate without cross-job contention, so
 it is folded into its phase: one event ends both. All PFS-link transfers
 share bandwidth equally; a job's drains run one after another, so a new drain
-appends its bytes to the job's active one. Transfer accounting uses rational
-arithmetic, so completions are byte-exact. Events run in order of exact time,
-then event priority, then push order; the heap key leads with the time as a
-float only so that most comparisons are one float comparison.
+appends its bytes to the job's active one. The link keeps remaining bytes as
+ints over one common denominator in lowest terms, so completions are
+byte-exact; event times are ints or Fractions. Events run in order of exact
+time, then event priority, then push order; the heap key leads with the time
+as a float only so that most comparisons are one float comparison.
 
 Jobs enter the queue only at a scheduler tick, which reads every job submitted
 by then; the heap holds one tick while jobs wait or remain unsubmitted. The
@@ -28,6 +29,7 @@ import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .availability import (
     AvailabilityProfile,
@@ -71,42 +73,68 @@ class FairShareLink:
 
     Transfers are keyed by the caller; the engine uses (job id, role) with
     role "in" (stage-in), "drain" (checkpoint drain) or "out" (stage-out).
+    Each transfer's remaining bytes are ``active[key] / scale``: ints over one
+    common denominator, kept in lowest terms, so gcd(scale, *active.values())
+    is 1 and an idle link has scale 1. Times stay ints or Fractions.
     """
 
     def __init__(self, bandwidth: int):
         self.bw = bandwidth
-        self.active: dict = {}  # key -> remaining bytes (Fraction)
+        self.active: dict = {}  # key -> remaining bytes times scale (int)
+        self.scale = 1
         self.last = 0
 
     def advance(self, now) -> None:
-        assert now >= self.last, "link time must not move backwards"
-        if self.active and now > self.last:
-            share = Fraction(self.bw, len(self.active)) * (now - self.last)
-            for key in self.active:
-                self.active[key] -= share
+        # now - last is dt / (b * d), with dt taken in ints: no Fraction is built
+        a, b = self.last.numerator, self.last.denominator
+        c, d = now.numerator, now.denominator
+        dt = c * b - a * d
+        assert dt >= 0, "link time must not move backwards"
         self.last = now
+        active = self.active
+        if dt and active:
+            # each transfer is served bw * dt / (b * d * n) bytes: num / den in lowest terms
+            num, den = self.bw * dt, b * d * len(active)
+            g = gcd(num, den)
+            num, den = num // g, den // g
+            scale = lcm(self.scale, den)
+            m, served = scale // self.scale, num * (scale // den)
+            for key in active:
+                active[key] = active[key] * m - served
+            self._rescale(scale)
+
+    def _rescale(self, scale: int) -> None:
+        """Set the common denominator to scale, then reduce to lowest terms."""
+        g = gcd(scale, *self.active.values())
+        if g > 1:
+            for key in self.active:
+                self.active[key] //= g
+        self.scale = scale // g
 
     def add(self, now, key, total: int) -> None:
         """Start a transfer, or append its bytes to key's active transfer."""
         self.advance(now)
-        remaining = self.active.get(key)
-        self.active[key] = Fraction(total) if remaining is None else remaining + total
+        # r + total * scale has the same gcd with scale as r: still lowest terms
+        self.active[key] = self.active.get(key, 0) + total * self.scale
 
-    def remove(self, now, key) -> Fraction:
+    def remove(self, now, key) -> None:
         self.advance(now)
-        return self.active.pop(key)
+        del self.active[key]
+        self._rescale(self.scale)
 
     def next_completion(self):
         if not self.active:
             return None
-        rate = Fraction(self.bw, len(self.active))
-        return self.last + min(self.active.values()) / rate
+        # last + min(active) * n / (scale * bw), built as one Fraction
+        a, b = self.last.numerator, self.last.denominator
+        bw = self.scale * self.bw  # in units of 1 / scale bytes per second
+        return Fraction(a * bw + min(self.active.values()) * len(self.active) * b, b * bw)
 
     def finished_ids(self, now) -> list:
         """Advance to now and pop every finished transfer, in start order."""
         self.advance(now)
         finished = [key for key, rem in self.active.items() if rem <= 0]
-        for key in finished:
+        for key in finished:  # popping zeros leaves the gcd, so scale stays in lowest terms
             remaining = self.active.pop(key)
             assert remaining == 0, "transfer completion must be byte-exact"
         return finished

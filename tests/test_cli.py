@@ -181,6 +181,22 @@ def test_simulate_bad_trace_path_fails_before_the_run(tmp_path, table1_workload,
     assert not records.exists()
 
 
+@pytest.mark.parametrize("option", ["-o", "--manifest"])
+def test_simulate_bad_output_path_fails_before_the_run(tmp_path, table1_workload,
+                                                       table1_config, capsys, monkeypatch,
+                                                       option):
+    def no_run(self):
+        pytest.fail("the simulation ran")
+
+    monkeypatch.setattr(Simulation, "run", no_run)
+    paths = {"-o": str(tmp_path / "r.csv"), "--manifest": str(tmp_path / "m.json")}
+    paths[option] = str(tmp_path / "nodir" / "out")
+    assert main(["simulate", "--workload", str(table1_workload), "--config", str(table1_config),
+                 "-o", paths["-o"], "--manifest", paths["--manifest"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nodir" in err
+
+
 def test_simulate_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.setenv("BBSIM_SEED", "7")
     args = build_parser().parse_args(["simulate", "-o", "r.csv"])
@@ -530,14 +546,15 @@ def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     '{"t": 0}', "[1, 2]", '{"event": "finish", "job": 1}',
     '{"t": 0.0, "event": "launch", "job": 1, "nodes": 5}',
     '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": [1]}',
+    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"a": 1}}',
+    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0, "1"], "bb_shares": {}}',
 ])
 def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
     trace = tmp_path / "trace.jsonl"
     trace.write_text('{"t": 0.0, "event": "submit", "job": 1}\n' + line + "\n")
     assert main(["gantt", str(trace), "-o", str(tmp_path / "gantt.csv")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "line 2 is not a trace event" in err
+    assert err.startswith(f"error: {trace}: line 2 is not a trace event") and err.count("\n") == 1
 
 
 def test_gantt_rows_per_node(tmp_path, table1_config):

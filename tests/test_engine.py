@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -402,7 +403,58 @@ def test_link_add_on_active_key_appends_bytes():
     link.add(0, "a", 100)
     link.add(0, "b", 100)
     link.add(4, "a", 50)
+    assert link.scale == 1
     assert link.active == {"a": 130, "b": 80}
     assert link.next_completion() == 20
     assert link.finished_ids(20) == ["b"]
     assert link.next_completion() == 20 + Fraction(50, 10)
+
+
+@given(
+    bw=st.integers(1, 13),
+    ops=st.lists(st.tuples(st.sampled_from(["add", "advance", "finished", "remove"]),
+                           st.integers(0, 3), st.integers(1, 1000),
+                           st.fractions(0, 1, max_denominator=9)), max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_link_matches_a_fraction_model(bw, ops):
+    """Remaining bytes as ints over scale agree with plain Fractions stepped alike.
+
+    Each op moves time a fraction of the way to the next completion (or on
+    by up to its size while the link is idle), so no transfer is overrun.
+    """
+    link, model, last = FairShareLink(bw), {}, Fraction(0)
+
+    def model_advance(t):
+        nonlocal last
+        if model:
+            served = Fraction(bw, len(model)) * (t - last)
+            for k in model:
+                model[k] -= served
+        last = t
+
+    for op, key, size, frac in ops:
+        due = last + min(model.values()) * len(model) / bw if model else None
+        assert link.next_completion() == due
+        now = last + (frac * (due - last) if model else frac * size)
+        now = int(now) if now.denominator == 1 else now  # the engine mixes int and Fraction times
+        if op == "add":
+            link.add(now, key, size)
+            model_advance(now)
+            model[key] = model.get(key, Fraction(0)) + size
+        elif op == "advance":
+            link.advance(now)
+            model_advance(now)
+        elif op == "finished":
+            finished = link.finished_ids(now)
+            model_advance(now)
+            assert finished == [k for k, rem in model.items() if rem == 0]
+            for k in finished:
+                del model[k]
+        elif key in model:
+            link.remove(now, key)
+            model_advance(now)
+            del model[key]
+        assert all(type(v) is int for v in link.active.values())
+        assert {k: Fraction(v, link.scale) for k, v in link.active.items()} == model
+        assert math.gcd(link.scale, *link.active.values()) == 1

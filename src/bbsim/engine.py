@@ -21,12 +21,14 @@ ended are walltime events of jobs that finished first. A job that moves no
 bytes gets no walltime event: it ends within it. An optional sink gets each
 trace line's dict as it happens, with the time "t" of its event; a submit line
 has its tick's time, and the job's own in "submit", so lines run in time order.
+Only then are a job's nodes and storage pools bound, for its launch line.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -140,13 +142,33 @@ class FairShareLink:
         return finished
 
 
+class NodeBinding:
+    """The nodes and storage-pool bytes each running job holds; no record reads them."""
+
+    def __init__(self, platform: Platform):
+        self.free_nodes = set(platform.compute_nodes)
+        self.free_bb = Counter(platform.bb_capacity_per_node)
+        self.held: dict[int, tuple[list[int], dict[int, int]]] = {}  # job id -> take's result
+
+    def take(self, job: JobSpec) -> tuple[list[int], dict[int, int]]:
+        nodes = allocate_nodes(self.free_nodes, job.n_procs)
+        shares = {n: s for n, s in allocate_bb(self.free_bb, job.bb_total).items() if s}
+        self.free_nodes.difference_update(nodes)
+        self.free_bb.subtract(shares)
+        self.held[job.id] = nodes, shares
+        return nodes, shares
+
+    def release(self, job_id: int) -> None:
+        nodes, shares = self.held.pop(job_id)
+        self.free_nodes.update(nodes)
+        self.free_bb.update(shares)
+
+
 @dataclass
-class RunningJob:
+class RunningJob:  # its nodes, if bound, are in the NodeBinding
     job: JobSpec
     io_bytes: int  # bytes of the stage-in, each checkpoint and the stage-out; 0 with io off
     phases: tuple  # phase durations, each but the last including its checkpoint dump
-    nodes: list[int]
-    bb_shares: dict[int, int]
     start: int
     phase: int = 0  # current phase (1-based); 0 while staging in
     compute_done: bool = False
@@ -162,7 +184,7 @@ class Simulation:
     S, jobs run for at most W s in all, and an idle machine with jobs waiting
     starts one at the next tick, at most P s on, at most n times. A plan or a
     head reservation made at time t starts every job by t + W, after all the
-    walltimes placed before it.
+    walltimes placed before it. A sink set once the run has begun raises.
     """
 
     def __init__(
@@ -202,17 +224,22 @@ class Simulation:
         self.profile = AvailabilityProfile(platform.n_procs, platform.total_bb)
         self.queue: dict[int, JobSpec] = {}  # pending jobs by id, in arrival order
         self.running: dict[int, RunningJob] = {}
-        self.free_compute = set(platform.compute_nodes)
-        self.bb_free = dict(platform.bb_capacity_per_node)
         self.link = FairShareLink(platform.pfs_link_bw)
         self.records: list[JobRecord] = []
-        self.sink = sink  # called with each trace line's dict as it happens
         self.head_reservations: list[tuple[int, object]] = []  # (tick time, HeadReservation)
         self.plan_stats: list[SearchStats] = []
         self._heap: list = []
-        self._seq = 0
+        self._seq = 0  # events keyed so far: nonzero once the run has begun
+        self.sink = sink
         self._link_next: tuple | None = None  # key of the link's next completion
         self._unsubmitted = self.jobs[::-1]  # popped from the end, in submit order
+
+    sink = property(lambda self: self._sink, doc="Called with each trace line's dict, or None.")
+    @sink.setter
+    def sink(self, sink) -> None:
+        if self._seq:  # a binding made now would miss the jobs already running
+            raise RuntimeError("the sink must be set before run(), not once it has begun")
+        self._sink, self._binding = sink, None if sink is None else NodeBinding(self.platform)
 
     # -- event machinery -----------------------------------------------------
 
@@ -264,8 +291,8 @@ class Simulation:
         while pending and pending[-1].submit_time <= now:
             job = pending.pop()
             self.queue[job.id] = job
-            if self.sink is not None:
-                self.sink({"t": float(now), "event": "submit", "job": job.id,
+            if self._sink is not None:
+                self._sink({"t": float(now), "event": "submit", "job": job.id,
                            "submit": float(job.submit_time)})
         state = SchedulerState(self.queue, self.profile, now)
         if self.policy_name == "plan":
@@ -281,29 +308,18 @@ class Simulation:
         self._push_next_tick(now)
 
     def _start_job(self, job: JobSpec, now: int) -> None:
-        nodes = allocate_nodes(self.free_compute, job.n_procs)
-        self.free_compute.difference_update(nodes)
-        shares = allocate_bb(self.bb_free, job.bb_total)
-        for node, share in shares.items():
-            self.bb_free[node] -= share
         io_bytes = job.bb_total if self.cfg.io_model == "on" else 0
         phases = (job.runtime,)  # with no checkpoint, the phases run back to back
         if io_bytes:
             dump = Fraction(io_bytes, self.platform.compute_link_bw)
             *head, last = phase_durations(job)
             phases = (*(d + dump for d in head), last)
-        rj = RunningJob(
-            job=job,
-            io_bytes=io_bytes,
-            phases=phases,
-            nodes=nodes,
-            bb_shares={n: s for n, s in shares.items() if s},
-            start=now,
-        )
+        rj = RunningJob(job=job, io_bytes=io_bytes, phases=phases, start=now)
         self.running[job.id] = rj
-        if self.sink is not None:
-            self.sink({"t": float(now), "event": "launch", "job": job.id,
-                       "nodes": nodes, "bb_shares": rj.bb_shares})
+        if self._sink is not None:
+            nodes, shares = self._binding.take(job)
+            self._sink({"t": float(now), "event": "launch", "job": job.id,
+                        "nodes": nodes, "bb_shares": shares})
         if io_bytes:  # else the job ends at start + runtime, within its walltime
             self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
             self._start_pfs_transfer(now, (job.id, "in"), io_bytes)
@@ -333,9 +349,6 @@ class Simulation:
     def _finish(self, rj: RunningJob, now, killed: bool) -> None:
         job = rj.job
         self.profile.remove(rj.start, rj.start + job.walltime, job.n_procs, job.bb_total)
-        self.free_compute.update(rj.nodes)
-        for node, share in rj.bb_shares.items():
-            self.bb_free[node] += share
         del self.running[job.id]
         self.records.append(
             JobRecord(
@@ -349,8 +362,9 @@ class Simulation:
                 policy=self.policy_name,
             )
         )
-        if self.sink is not None:
-            self.sink({"t": float(now), "event": "kill" if killed else "finish", "job": job.id})
+        if self._sink is not None:
+            self._binding.release(job.id)
+            self._sink({"t": float(now), "event": "kill" if killed else "finish", "job": job.id})
 
     def _kill(self, rj: RunningJob, now) -> None:
         live = [key for key in self.link.active if key[0] == rj.job.id]
@@ -393,11 +407,12 @@ class Simulation:
         for rj in self.running.values():
             held.add(rj.start, rj.start + rj.job.walltime, rj.job.n_procs, rj.job.bb_total)
         assert held == self.profile, "profile must hold exactly the running jobs"
-        used_procs = sum(rj.job.n_procs for rj in self.running.values())
-        used_bb = sum(rj.job.bb_total for rj in self.running.values())
-        # free counts are never negative, so these also rule out over-allocation
-        assert len(self.free_compute) == self.platform.n_procs - used_procs
-        assert sum(self.bb_free.values()) == self.platform.total_bb - used_bb
-        for node, free in self.bb_free.items():
-            cap = self.platform.bb_capacity_per_node[node]
-            assert 0 <= free <= cap, f"storage node {node} share out of range"
+        if (binding := self._binding) is not None:
+            used_procs = sum(rj.job.n_procs for rj in self.running.values())
+            used_bb = sum(rj.job.bb_total for rj in self.running.values())
+            # free counts are never negative, so these also rule out over-allocation
+            assert len(binding.free_nodes) == self.platform.n_procs - used_procs
+            assert sum(binding.free_bb.values()) == self.platform.total_bb - used_bb
+            for node, free in binding.free_bb.items():
+                cap = self.platform.bb_capacity_per_node[node]
+                assert 0 <= free <= cap, f"storage node {node} share out of range"

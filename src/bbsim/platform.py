@@ -38,6 +38,8 @@ DEFAULT_BB_MODEL = LogNormalModel(mu=math.log(4e9), sigma=1.0)
 
 @dataclass(frozen=True)
 class PlatformConfig:
+    """The dragonfly shape (groups to nodes_per_router) decides only the node ids traces print."""
+
     n_compute_nodes: int = 96
     n_storage_nodes: int = 12
     groups: int = 3

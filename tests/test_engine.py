@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from bbsim.engine import FairShareLink, SimConfig, Simulation
 from bbsim.planner import AnnealConfig
-from bbsim.platform import PlatformConfig, build_platform
+from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
+from bbsim.policies import POLICY_NAMES
 from bbsim.workload import JobSpec, synthetic_workload
 from conftest import link_finishes
 from io_oracle import transfer_finishes
@@ -237,13 +238,13 @@ def test_workload_whose_waits_could_reach_2_to_53_is_refused():
         Simulation(platform, huge_first_job(walltime), "plan", IO_OFF)
 
 
-def launched_at_zero():
+def launched_at_zero(sink=None):
     """A simulation whose first tick has launched two jobs (walltimes 1000 and 500)."""
     jobs = [
         one_job(runtime=100, procs=1, bb=3000),
         replace(one_job(runtime=50, procs=2, bb=1000), id=2),
     ]
-    sim = Simulation(small_platform(), jobs, "fcfs", IO_OFF)
+    sim = Simulation(small_platform(), jobs, "fcfs", IO_OFF, sink=sink)
     sim._on_tick(0)
     assert set(sim.running) == {1, 2}
     sim._check_invariants(0)
@@ -263,6 +264,33 @@ def test_invariants_reject_a_running_job_held_over_the_wrong_interval():
     sim.profile.add(0, 560, 2, 1000)
     with pytest.raises(AssertionError, match="exactly the running jobs"):
         sim._check_invariants(0)
+
+
+def test_invariants_reject_a_node_missing_from_the_binding():
+    sim = launched_at_zero(sink=[].append)
+    sim._binding.free_nodes.pop()  # now neither free nor held by a running job
+    with pytest.raises(AssertionError):
+        sim._check_invariants(0)
+
+
+def test_invariants_reject_a_pool_with_bytes_no_job_gave_back():
+    sim = launched_at_zero(sink=[].append)
+    (pool,) = sim._binding.free_bb
+    sim._binding.free_bb[pool] += 1
+    with pytest.raises(AssertionError):
+        sim._check_invariants(0)
+
+
+def test_a_sink_set_once_the_run_has_begun_is_refused():
+    sim = launched_at_zero()  # its two running jobs were launched with no nodes bound
+    for sink in ([].append, None):
+        with pytest.raises(RuntimeError, match=r"sink must be set before run\(\)"):
+            sim.sink = sink
+    lines: list[dict] = []
+    sim = Simulation(small_platform(), [one_job()], "fcfs", IO_OFF)
+    sim.sink = lines.append  # before run(), as the CLI sets it
+    sim.run()
+    assert [line["event"] for line in lines] == ["submit", "launch", "finish"]
 
 
 TABLE1_EASY_STARTS = {1: 0, 2: 0, 6: 180, 3: 600, 7: 600}
@@ -318,6 +346,22 @@ def test_trace_collection():
         (60, "submit"), (60, "launch"), (122, "finish")]
     assert lines[0]["submit"] == 30
     assert sum(lines[1]["bb_shares"].values()) == 100
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_traced_run_keeps_the_binding_valid(policy):
+    """With a sink, every event checks the free nodes and pools against the running jobs."""
+    platform = build_platform(PlatformConfig())
+    cap = platform.total_bb
+    jobs = [replace(j, bb_per_proc=min(j.bb_per_proc, cap // j.n_procs))
+            for j in synthetic_workload(40, seed=3, bb_model=DEFAULT_BB_MODEL)]
+    cfg = SimConfig(io_model="on", validate=True)
+    lines: list[dict] = []
+    traced = Simulation(platform, jobs, policy, cfg, sink=lines.append).run()
+    assert traced == Simulation(platform, jobs, policy, cfg).run()
+    launches = [line for line in lines if line["event"] == "launch"]
+    assert len(launches) == len(jobs)
+    assert any(len(line["bb_shares"]) > 1 for line in launches)  # split across pools
 
 
 def test_drain_and_stage_out_ending_together_finish_the_job_once():

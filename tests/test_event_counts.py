@@ -17,6 +17,10 @@ has_capacity only about candidates within the free capacity at now, and the
 queue drops a launched job by its id, so no run compares two jobs. So is the
 plan search's logical work: its plan builds, earliest-slot searches and
 placements, which a faster build must leave as they are.
+
+Which nodes a job holds is bound only for the trace: a run without a sink
+calls neither allocate_nodes nor allocate_bb, and a run with one calls each
+once per job.
 """
 
 import pytest
@@ -29,12 +33,20 @@ AvailabilityProfile = bench.bbsim.availability.AvailabilityProfile
 JobSpec = bench.bbsim.workload.JobSpec
 
 
-def run(workload, policy):
+def run(workload, policy, sink=None):
     platform, jobs = inputs(workload)
     cfg = bench.bbsim.engine.SimConfig(
         io_model=bench.WORKLOADS[workload].io_model, seed=bench.SIM_SEED
     )
-    Simulation(platform, jobs[policy], policy, cfg).run()
+    Simulation(platform, jobs[policy], policy, cfg, sink=sink).run()
+
+
+def counting(calls, name, fn):
+    """fn, adding each of its calls to calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
 
 
 # Simulation._dispatch calls per run
@@ -165,17 +177,25 @@ PLAN_WORK = {
 @pytest.mark.parametrize("workload", sorted(PLAN_WORK))
 def test_plan_search_work(workload, monkeypatch):
     calls = dict.fromkeys(("build_plan", "place", "earliest_slot", "add"), 0)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     planner = bench.bbsim.planner
-    monkeypatch.setattr(planner, "build_plan", counting("build_plan", planner.build_plan))
+    monkeypatch.setattr(planner, "build_plan", counting(calls, "build_plan", planner.build_plan))
     for name in ("place", "earliest_slot", "add"):
         monkeypatch.setattr(AvailabilityProfile, name,
-                            counting(name, getattr(AvailabilityProfile, name)))
+                            counting(calls, name, getattr(AvailabilityProfile, name)))
     run(workload, "plan")
     assert tuple(calls.values()) == PLAN_WORK[workload]
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+@pytest.mark.parametrize("workload", sorted(bench.WORKLOADS))
+def test_nodes_bound_only_for_the_trace(workload, policy, monkeypatch):
+    calls = {"allocate_nodes": 0, "allocate_bb": 0}
+    for name in calls:
+        monkeypatch.setattr(engine, name, counting(calls, name, getattr(engine, name)))
+    run(workload, policy)
+    assert calls == {"allocate_nodes": 0, "allocate_bb": 0}
+    lines: list[dict] = []
+    run(workload, policy, sink=lines.append)
+    n_jobs = len(inputs(workload)[1][policy])
+    assert sum(line["event"] == "launch" for line in lines) == n_jobs
+    assert calls == {"allocate_nodes": n_jobs, "allocate_bb": n_jobs}

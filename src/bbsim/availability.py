@@ -4,7 +4,9 @@ The profile is a step function of free capacity and no more: callers add and
 remove demand over the interval they know, and free capacity stays between
 zero and the fixed platform totals. Each step stores its free processors and
 bytes, so earliest-slot queries and window feasibility checks look only at
-the steps their window covers. Time is integer seconds throughout.
+the steps their window covers. earliest_slot is the one slot scan; with take
+it also takes the demand over the window it found, in the same pass. Time is
+integer seconds throughout.
 """
 
 from __future__ import annotations
@@ -27,12 +29,6 @@ class AllocationError(Exception):
 
 def _bad_demand(start: int, end: int) -> ValueError:
     return ValueError(f"empty interval [{start}, {end}) or negative demand")
-
-
-def _no_room(start: int, end: int, n_procs: int, bb_bytes: int) -> CapacityError:
-    return CapacityError(
-        f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity over [{start}, {end})"
-    )
 
 
 class AvailabilityProfile:
@@ -108,7 +104,8 @@ class AvailabilityProfile:
         i = bisect.bisect_left(self._times, start)
         j = bisect.bisect_left(self._times, end, i)
         if not self._apply(start, end, -n_procs, -bb_bytes, i, j):
-            raise _no_room(start, end, n_procs, bb_bytes)
+            raise CapacityError(f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity"
+                                f" over [{start}, {end})")
 
     def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Give back demand that add took over [start, end)."""
@@ -143,12 +140,15 @@ class AvailabilityProfile:
                 return False
         return True
 
-    def _slot(self, n_procs: int, bb_bytes: int, duration: int, not_before: int) -> tuple:
-        """(t, i, k): the earliest slot t, the step i holding t and the first
-        breakpoint k at or after t + duration.
+    def earliest_slot(
+        self, n_procs: int, bb_bytes: int, duration: int, not_before: int, take: bool = False
+    ) -> int:
+        """Smallest t >= not_before with the demand free over all of [t, t+duration).
 
         One scan from the step holding not_before: a step short of the demand
-        moves the candidate start to the next breakpoint.
+        moves the candidate start to the next breakpoint. With take, the demand
+        is also taken over the window found, with its breakpoints put where the
+        scan stopped; the same as earliest_slot followed by add.
         """
         if n_procs > self.total_procs or bb_bytes > self.total_bb:
             raise InfeasibleError(
@@ -157,36 +157,40 @@ class AvailabilityProfile:
         if duration <= 0:
             raise ValueError("duration must be positive")
         times, fp, fb = self._times, self._free_p, self._free_b
-        candidate, end = not_before, not_before + duration
-        i = bisect.bisect_right(times, candidate) - 1
+        start, end = not_before, not_before + duration
+        i = bisect.bisect_right(times, start) - 1  # the step holding start
         for k in range(i, len(times)):
             if times[k] >= end:
-                return candidate, i, k
+                break
             if fp[k] < n_procs or fb[k] < bb_bytes:
                 # the last step is entirely free, so step k + 1 exists
                 i = k + 1
-                candidate = times[i]
-                end = candidate + duration
-        return candidate, i, len(times)
-
-    def earliest_slot(self, n_procs: int, bb_bytes: int, duration: int, not_before: int) -> int:
-        """Smallest t >= not_before with the demand free over all of [t, t+duration)."""
-        return self._slot(n_procs, bb_bytes, duration, not_before)[0]
-
-    def place(self, n_procs: int, bb_bytes: int, duration: int, not_before: int) -> int:
-        """Take the demand at its earliest slot and return the slot's start.
-
-        The same as earliest_slot followed by add, with the breakpoints put
-        where the scan found them instead of bisecting for them again.
-        """
-        start, i, k = self._slot(n_procs, bb_bytes, duration, not_before)
-        end = start + duration
+                start = times[i]
+                end = start + duration
+        else:
+            k = len(times)
+        if not take:
+            return start
         if not n_procs >= 0 <= bb_bytes:
             raise _bad_demand(start, end)
-        if self._times[i] != start:  # start lies inside step i
+        # the scan found the demand free on every step of the window, so the
+        # unchecked write below keeps each value in [0, totals]
+        if times[i] != start:  # start lies inside step i
             i += 1
-        if not self._apply(start, end, -n_procs, -bb_bytes, i, k):
-            raise _no_room(start, end, n_procs, bb_bytes)
+            times.insert(i, start)
+            fp.insert(i, fp[i - 1])
+            fb.insert(i, fb[i - 1])
+            k += 1
+        if k == len(times) or times[k] != end:
+            times.insert(k, end)
+            fp.insert(k, fp[k - 1])
+            fb.insert(k, fb[k - 1])
+        for m in range(i, k):
+            fp[m] -= n_procs
+            fb[m] -= bb_bytes
+        for m in (k, i):  # only the two ends can have become redundant; k first keeps i valid
+            if fp[m] == fp[m - 1] and fb[m] == fb[m - 1]:
+                del times[m], fp[m], fb[m]
         return start
 
 

@@ -137,21 +137,30 @@ def read_records(stream: TextIO) -> list[JobRecord]:
         raise ValueError(f"records file lacks column(s) {', '.join(missing)}")
     out = []
     for row in reader:
+        where = f"records line {reader.line_num + 1}"
         # DictReader files extra fields under the key None and fills missing ones with None
         if None in row or None in row.values():
-            raise ValueError(
-                f"records line {reader.line_num + 1}: expected {len(reader.fieldnames)} fields"
-            )
-        out.append(
-            JobRecord(
+            raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+        try:
+            r = JobRecord(
                 job_id=int(row["job_id"]),
                 submit=int(row["submit"]),
                 start=int(row["start"]),
                 finish=float(row["finish"]),
                 n_procs=int(row["n_procs"]),
                 bb_total=int(row["bb_total"]),
-                killed=bool(int(row["killed"])),
+                killed=row["killed"] == "1",
                 policy=row["policy"],
             )
-        )
+            # only what a run can write: a finite finish, submit <= start <= finish, a 0/1 flag
+            if not math.isfinite(r.finish):
+                raise ValueError(f"finish must be finite, got {row['finish']!r}")
+            if not r.submit <= r.start <= r.finish:
+                raise ValueError(f"need submit <= start <= finish, got {r.submit}, "
+                                 f"{r.start}, {row['finish']}")
+            if row["killed"] not in ("0", "1"):
+                raise ValueError(f"killed must be 0 or 1, got {row['killed']!r}")
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+        out.append(r)
     return out

@@ -1,6 +1,7 @@
 """Plan-based scheduling: permutation plans scored by sum of waiting times^alpha,
 searched exhaustively for small queues or by simulated annealing seeded with
-nine heuristic orderings.
+nine heuristic orderings. A build finds and takes each searched job's slot in
+one AvailabilityProfile.earliest_slot scan.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .availability import AvailabilityProfile
 from .policies import CycleResult, SchedulerState, launch
@@ -47,8 +48,7 @@ class AnnealConfig:
             raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {self.alpha!r}")
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
+class ExecutionPlan(NamedTuple):
     permutation: tuple[int, ...]  # job ids in plan order
     starts: dict[int, int]  # job id -> planned start
     score: float
@@ -94,7 +94,7 @@ def build_plan(
     profile: AvailabilityProfile,
     alpha: float,
     stats: SearchStats | None = None,
-    known_starts: tuple[int, ...] = (),
+    known_starts: Sequence[int] = (),
 ) -> ExecutionPlan:
     """Place jobs in the given order at their earliest slots on a profile copy.
 
@@ -103,7 +103,7 @@ def build_plan(
     if stats is not None:
         stats.n_builds += 1
     work = profile.copy()
-    add, place = work.add, work.place
+    add, slot = work.add, work.earliest_slot
     n_known, last = len(known_starts), len(jobs) - 1
     starts: dict[int, int] = {}
     waits = []
@@ -111,17 +111,12 @@ def build_plan(
         if k < n_known:
             start = known_starts[k]
             add(start, start + walltime, n_procs, bb)
-        elif k < last:
-            start = place(n_procs, bb, walltime, not_before)
-        else:  # nothing is placed after the last job, so its demand is never added
-            start = work.earliest_slot(n_procs, bb, walltime, not_before)
+        else:  # nothing is placed after the last job, so its demand is never taken
+            start = slot(n_procs, bb, walltime, not_before, k < last)
         starts[jid] = start
         waits.append(start - submit_time)
-    return ExecutionPlan(
-        permutation=tuple(starts),  # job ids are unique, so starts keeps their order
-        starts=starts,
-        score=score(waits, alpha),
-    )
+    # job ids are unique, so starts keeps their order
+    return ExecutionPlan(tuple(starts), starts, score(waits, alpha))
 
 
 def initial_candidates(queue: list[Demand]) -> list[list[Demand]]:
@@ -207,7 +202,7 @@ def anneal(
                 j += 1
             new_perm = list(current.permutation)
             new_perm[i], new_perm[j] = new_perm[j], new_perm[i]
-            prefix = tuple(current.starts[jid] for jid in new_perm[: min(i, j)])
+            prefix = [current.starts[jid] for jid in new_perm[: min(i, j)]]
             new_jobs = [jobs_by_id[jid] for jid in new_perm]
             plan = build_plan(new_jobs, profile, cfg.alpha, stats, prefix)
             if plan.score < best.score:

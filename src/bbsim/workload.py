@@ -89,7 +89,7 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
             raise SwfParseError(line_no, f"expected {SWF_FIELDS} fields, got {len(fields)}")
         try:
             values = [int(float(f)) for f in fields]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: a field of inf
             raise SwfParseError(line_no, str(exc)) from exc
         job_id, submit, runtime = values[0], values[1], values[3]
         n_procs = values[7] if values[7] > 0 else values[4]

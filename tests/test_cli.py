@@ -95,6 +95,16 @@ def test_convert_corrupt_line_reports_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_convert_infinite_field_is_input_error(tmp_path, capsys):
+    path = tmp_path / "inf.swf"
+    path.write_text(swf_line(1, "inf", 100, 2) + "\n")
+    out = tmp_path / "out.jsonl"
+    assert main(["convert", str(path), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: line 1: cannot convert float infinity to integer\n"
+    assert not out.exists()
+
+
 def test_convert_missing_file(tmp_path, capsys):
     assert main(["convert", str(tmp_path / "nope.swf"),
                  "-o", str(tmp_path / "out.jsonl")]) == 1
@@ -530,6 +540,18 @@ def test_analyze_negative_tail_is_input_error(tmp_path, table1_workload,
     assert main(["analyze", str(path), "--tail", "-2", "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "--tail" in err
+    assert not outdir.exists()
+
+
+def test_analyze_impossible_record_is_input_error(tmp_path, capsys):
+    records = tmp_path / "r.csv"
+    records.write_text("# bbsim-records v1\n"
+                       "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+                       "1,0,0,10,1,0,0,fcfs\n1,0,0,inf,1,0,0,fcfs\n")
+    outdir = tmp_path / "out"
+    assert main(["analyze", str(records), "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: records line 4: finish must be finite, got 'inf'\n"
     assert not outdir.exists()
 
 

@@ -161,25 +161,23 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
 
 
-# (build_plan, place, earliest_slot, add) calls of each plan run. place takes
-# every searched job but each build's last; earliest_slot finds that last
-# job's slot and each search's per-job lower bounds; add replays known
-# starts and launches jobs. place + build_plan is the number of slot searches
-# on build copies, the same as when every search was an earliest_slot call
-# (103,882 on plan-anneal).
+# (build_plan, earliest_slot, add) calls of each plan run. earliest_slot finds
+# and takes the slot of every searched job but each build's last, finds that
+# last job's slot without taking it, and finds each search's per-job lower
+# bounds; add replays known starts and launches jobs.
 PLAN_WORK = {
-    "backfill-pressure": (3403, 16837, 3616, 5577),
-    "io-lifecycle": (479, 1490, 612, 60),
-    "plan-anneal": (14798, 89084, 15693, 33300),
+    "backfill-pressure": (3403, 20453, 5577),
+    "io-lifecycle": (479, 2102, 60),
+    "plan-anneal": (14798, 104777, 33300),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(PLAN_WORK))
 def test_plan_search_work(workload, monkeypatch):
-    calls = dict.fromkeys(("build_plan", "place", "earliest_slot", "add"), 0)
+    calls = dict.fromkeys(("build_plan", "earliest_slot", "add"), 0)
     planner = bench.bbsim.planner
     monkeypatch.setattr(planner, "build_plan", counting(calls, "build_plan", planner.build_plan))
-    for name in ("place", "earliest_slot", "add"):
+    for name in ("earliest_slot", "add"):
         monkeypatch.setattr(AvailabilityProfile, name,
                             counting(calls, name, getattr(AvailabilityProfile, name)))
     run(workload, "plan")

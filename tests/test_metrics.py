@@ -141,3 +141,22 @@ def test_read_records_rejects_missing_or_extra_fields(row):
     )
     with pytest.raises(ValueError, match="^records line 4: expected 8 fields$"):
         read_records(buf)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,0,0,nan,1,0,0,fcfs", "finish must be finite, got 'nan'"),
+    ("1,0,0,inf,1,0,0,fcfs", "finish must be finite, got 'inf'"),
+    ("1,0,10,5,1,0,0,fcfs", "need submit <= start <= finish, got 0, 10, 5"),
+    ("1,10,5,20,1,0,0,fcfs", "need submit <= start <= finish, got 10, 5, 20"),
+    ("1,0,0,10,1,0,7,fcfs", "killed must be 0 or 1, got '7'"),
+    ("1,0,0,abc,1,0,0,fcfs", "could not convert string to float: 'abc'"),
+])
+def test_read_records_rejects_what_no_run_writes(row, message):
+    buf = io.StringIO(
+        "# bbsim-records v1\n"
+        "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+        "1,0,0,10,1,0,0,fcfs\n" + row + "\n"
+    )
+    with pytest.raises(ValueError) as excinfo:
+        read_records(buf)
+    assert str(excinfo.value) == f"records line 4: {message}"

@@ -191,21 +191,19 @@ def test_anneal_budget_is_189():
 
 
 def test_anneal_earliest_slot_budget(monkeypatch):
-    """One seeded annealing cycle makes an exact number of earliest-slot
-    searches: one lower bound per job on the base profile, then, in every
-    build, one search per job after its replayed prefix."""
+    """One seeded annealing cycle makes an exact number of earliest_slot
+    scans: one lower bound per job on the base profile, then, in every
+    build, one scan per job after its replayed prefix (taking the slot for
+    all but the last)."""
     base = AvailabilityProfile(8, 10)
     calls = {"bounds": 0, "searched": 0}
+    earliest_slot = AvailabilityProfile.earliest_slot
 
-    def counting(fn):
-        def wrapper(self, *args):
-            calls["bounds" if self is base else "searched"] += 1
-            return fn(self, *args)
-        return wrapper
+    def counting(self, *args, **kwargs):
+        calls["bounds" if self is base else "searched"] += 1
+        return earliest_slot(self, *args, **kwargs)
 
-    for name in ("earliest_slot", "place"):
-        monkeypatch.setattr(AvailabilityProfile, name,
-                            counting(getattr(AvailabilityProfile, name)))
+    monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
     stats = SearchStats()
     anneal(heterogeneous_queue(8), base, 50, AnnealConfig(alpha=2), random.Random(0), stats)
     assert stats.n_builds == 189

@@ -245,9 +245,9 @@ def outcome(call):
     st.integers(0, 300),  # not_before, often before demand that is still to come
 )
 @settings(max_examples=300)
-def test_place_equals_earliest_slot_then_add(specs, procs, bb, duration, not_before):
-    """place returns earliest_slot's start and leaves the profile == to
-    earliest_slot followed by add, or raises what they raise and changes nothing."""
+def test_take_equals_earliest_slot_then_add(specs, procs, bb, duration, not_before):
+    """earliest_slot with take returns earliest_slot's start and leaves the profile
+    == to earliest_slot followed by add, or raises what they raise and changes nothing."""
     p = AvailabilityProfile(8, 10)
     for start, dur, rp, rb in specs:
         if p.has_capacity(rp, rb, start, start + dur):
@@ -259,7 +259,8 @@ def test_place_equals_earliest_slot_then_add(specs, procs, bb, duration, not_bef
         expected.add(t, t + duration, procs, bb)
         return t
 
-    assert outcome(lambda: p.place(procs, bb, duration, not_before)) == outcome(search_then_add)
+    taken = outcome(lambda: p.earliest_slot(procs, bb, duration, not_before, take=True))
+    assert taken == outcome(search_then_add)
     assert p == expected
 
 
@@ -305,9 +306,14 @@ class BruteForceProfile:
 
 ORACLE_TOTALS = (8, 10)
 # a short horizon makes reservations and query windows often share an end
-ORACLE_LAST_END = 40  # reservations end at or before this second
+ORACLE_LAST_END = 40  # added reservations end at or before this second
 ORACLE_MAX_START = ORACLE_LAST_END + 5
 ORACLE_MAX_DURATION = 30
+ORACLE_MAX_OPS = 30
+ORACLE_TAKE_DURATION = 20
+# all is free from the last end held on, and a take starts no later than that,
+# so each take moves the last end on by at most ORACLE_TAKE_DURATION
+ORACLE_HORIZON = ORACLE_MAX_START + ORACLE_MAX_DURATION + ORACLE_MAX_OPS * ORACLE_TAKE_DURATION
 
 oracle_ops = st.lists(
     st.one_of(
@@ -320,6 +326,13 @@ oracle_ops = st.lists(
         ),
         st.tuples(st.just("remove"), st.integers(0, 30)),  # which held reservation
         st.tuples(
+            st.just("take"),  # earliest_slot with take, from not_before
+            st.integers(0, ORACLE_LAST_END - 1),  # not_before
+            st.integers(1, ORACLE_TAKE_DURATION),
+            st.integers(0, 8),  # procs
+            st.integers(0, 10),  # bb units
+        ),
+        st.tuples(
             st.just("phantom"),  # a remove of demand that need not be held
             st.integers(0, ORACLE_LAST_END - 1),
             st.integers(1, 20),
@@ -327,7 +340,7 @@ oracle_ops = st.lists(
             st.integers(0, 10),
         ),
     ),
-    max_size=30,
+    max_size=ORACLE_MAX_OPS,
 )
 oracle_queries = st.lists(
     st.tuples(
@@ -344,13 +357,13 @@ oracle_queries = st.lists(
 @given(oracle_ops, oracle_queries)
 @settings(max_examples=150, deadline=None)
 def test_profile_matches_per_second_oracle(ops, queries):
-    """Every query agrees with a per-second array after each add and remove,
-    a remove of demand that is not held fails and changes nothing, and
-    breakpoints are exactly the seconds where free capacity changes."""
+    """Every query agrees with a per-second array after each add, take and
+    remove, a take finds the array's earliest slot and leaves the profile an
+    add at that start would, a remove of demand that is not held fails and
+    changes nothing, and breakpoints are exactly the seconds where free
+    capacity changes."""
     p = AvailabilityProfile(*ORACLE_TOTALS)
-    # everything is free from ORACLE_LAST_END on, so no slot starts later
-    # than ORACLE_MAX_START
-    oracle = BruteForceProfile(*ORACLE_TOTALS, ORACLE_MAX_START + ORACLE_MAX_DURATION)
+    oracle = BruteForceProfile(*ORACLE_TOTALS, ORACLE_HORIZON)
     held: list[tuple[int, int, int, int]] = []  # the intervals added and not yet removed
     for op in ops:
         if op[0] == "add":
@@ -363,6 +376,16 @@ def test_profile_matches_per_second_oracle(ops, queries):
             else:
                 with pytest.raises(CapacityError):
                     p.add(*r)
+        elif op[0] == "take":
+            _, not_before, duration, procs, bb = op
+            t = oracle.earliest_slot(procs, bb, duration, not_before)
+            r = (t, t + duration, procs, bb)
+            added = p.copy()
+            added.add(*r)
+            assert p.earliest_slot(procs, bb, duration, not_before, take=True) == t
+            assert p == added
+            held.append(r)
+            oracle.apply(r, +1)
         elif op[0] == "phantom":
             _, start, duration, procs, bb = op
             end = min(start + duration, ORACLE_LAST_END)
@@ -374,7 +397,7 @@ def test_profile_matches_per_second_oracle(ops, queries):
             p.remove(*r)
             oracle.apply(r, -1)
         assert p.breakpoints() == oracle.breakpoints()
-        for t in range(ORACLE_LAST_END + 1):
+        for t in range(max([ORACLE_LAST_END] + [r[1] for r in held]) + 1):
             assert p.free_at(t) == oracle.free_at(t)
         for procs, bb, start, duration in queries:
             end = start + duration

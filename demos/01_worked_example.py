@@ -39,7 +39,6 @@ def build_jobs():
 def main():
     platform = build_platform(PlatformConfig(
         n_compute_nodes=4, n_storage_nodes=1,
-        groups=1, chassis_per_group=1, routers_per_chassis=1, nodes_per_router=5,
         bb_capacity_total=10 * TB,
     ))
     cfg = SimConfig(io_model="off", validate=True)

@@ -37,7 +37,6 @@ def link_finishes(starts, bandwidth):
 def main():
     platform = build_platform(PlatformConfig(
         n_compute_nodes=4, n_storage_nodes=1,
-        groups=1, chassis_per_group=1, routers_per_chassis=1, nodes_per_router=5,
         compute_link_bw=50, pfs_link_bw=100, bb_capacity_total=10_000,
     ))
     job = JobSpec(id=1, submit_time=0, runtime=90, walltime=900,

@@ -223,21 +223,21 @@ def cmd_analyze(args) -> int:
     if args.reference and args.reference not in policies:
         raise InputError(f"reference policy {args.reference!r} has no records")
 
-    groups: dict[tuple[str, int | None], list[JobRecord]] = {}
+    by_part: dict[tuple[str, int | None], list[JobRecord]] = {}
     for r in records:
         part = part_index(r.submit) if args.split else None
         if args.split and part is None:
             continue  # past the last three-week part
-        groups.setdefault((r.policy, part), []).append(r)
+        by_part.setdefault((r.policy, part), []).append(r)
 
     os.makedirs(args.outdir, exist_ok=True)
     summary_path = os.path.join(args.outdir, "summary.csv")
     with open(summary_path, "w") as f:
         level_cols = [f"q{lv:.6f}".rstrip("0").rstrip(".") for lv in LETTER_VALUE_LEVELS]
         f.write("policy,part,metric,count,mean,ci95," + ",".join(level_cols) + "\n")
-        for (policy, part) in sorted(groups, key=lambda k: (k[0], -1 if k[1] is None else k[1])):
+        for (policy, part) in sorted(by_part, key=lambda k: (k[0], -1 if k[1] is None else k[1])):
             for metric_name, metric in METRICS.items():
-                s = summarize(groups[(policy, part)], metric, tail_k=args.tail)
+                s = summarize(by_part[(policy, part)], metric, tail_k=args.tail)
                 part_label = "all" if part is None else str(part)
                 qs = ",".join(repr(v) for _, v in s.quantiles)
                 f.write(
@@ -261,7 +261,7 @@ def cmd_analyze(args) -> int:
             for metric_name, metric in METRICS.items():
                 part_means = {
                     (policy, part): sum(map(metric, recs)) / len(recs)
-                    for (policy, part), recs in groups.items()
+                    for (policy, part), recs in by_part.items()
                 }
                 normalized = normalize_by_reference(part_means, args.reference)
                 for (policy, part) in sorted(part_means):

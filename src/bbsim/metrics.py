@@ -50,11 +50,11 @@ def waiting_time(rec: JobRecord) -> float:
     return rec.start - rec.submit
 
 
-def bounded_slowdown(rec: JobRecord, bound: float = SLOWDOWN_BOUND_S) -> float:
-    """max(1, (wait + run) / max(run, bound)); killed jobs ran to their walltime."""
+def bounded_slowdown(rec: JobRecord) -> float:
+    """max(1, (wait + run) / max(run, SLOWDOWN_BOUND_S)); killed jobs ran to their walltime."""
     wait = waiting_time(rec)
     run = rec.finish - rec.start
-    return max(1.0, (wait + run) / max(run, bound))
+    return max(1.0, (wait + run) / max(run, SLOWDOWN_BOUND_S))
 
 
 def nearest_rank_quantile(sorted_values: list[float], level: float) -> float:
@@ -136,6 +136,7 @@ def read_records(stream: TextIO) -> list[JobRecord]:
     if missing:
         raise ValueError(f"records file lacks column(s) {', '.join(missing)}")
     out = []
+    seen: set[tuple[str, int]] = set()
     for row in reader:
         where = f"records line {reader.line_num + 1}"
         # DictReader files extra fields under the key None and fills missing ones with None
@@ -152,7 +153,8 @@ def read_records(stream: TextIO) -> list[JobRecord]:
                 killed=row["killed"] == "1",
                 policy=row["policy"],
             )
-            # only what a run can write: a finite finish, submit <= start <= finish, a 0/1 flag
+            # only what a run can write: a finite finish, submit <= start <= finish, a 0/1
+            # flag, a job on at least one processor, and each job once per policy
             if not math.isfinite(r.finish):
                 raise ValueError(f"finish must be finite, got {row['finish']!r}")
             if not r.submit <= r.start <= r.finish:
@@ -160,7 +162,14 @@ def read_records(stream: TextIO) -> list[JobRecord]:
                                  f"{r.start}, {row['finish']}")
             if row["killed"] not in ("0", "1"):
                 raise ValueError(f"killed must be 0 or 1, got {row['killed']!r}")
+            if r.n_procs < 1:
+                raise ValueError(f"n_procs must be >= 1, got {r.n_procs}")
+            if r.bb_total < 0:
+                raise ValueError(f"bb_total must be >= 0, got {r.bb_total}")
+            if (r.policy, r.job_id) in seen:
+                raise ValueError(f"duplicate job {r.job_id} for policy {r.policy!r}")
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
+        seen.add((r.policy, r.job_id))
         out.append(r)
     return out

@@ -38,26 +38,18 @@ DEFAULT_BB_MODEL = LogNormalModel(mu=math.log(4e9), sigma=1.0)
 
 @dataclass(frozen=True)
 class PlatformConfig:
-    """The dragonfly shape (groups to nodes_per_router) decides only the node ids traces print."""
+    """Node counts, link rates and the burst-buffer capacity and request model.
+
+    No network shape is modelled: the node ids that traces print follow from
+    the two node counts alone (see build_platform).
+    """
 
     n_compute_nodes: int = 96
     n_storage_nodes: int = 12
-    groups: int = 3
-    chassis_per_group: int = 4
-    routers_per_chassis: int = 3
-    nodes_per_router: int = 3
     compute_link_bw: int = 1_250_000_000  # 10 Gbit/s in bytes/s
     pfs_link_bw: int = 5_000_000_000  # 5 GB/s
     bb_capacity_total: int | str = "auto"
     bb_request_model: LogNormalModel = field(default_factory=lambda: DEFAULT_BB_MODEL)
-
-    def total_nodes(self) -> int:
-        return (
-            self.groups
-            * self.chassis_per_group
-            * self.routers_per_chassis
-            * self.nodes_per_router
-        )
 
     def validate(self) -> None:
         for f in fields(self):
@@ -65,13 +57,6 @@ class PlatformConfig:
             # type(...) is int refuses bool, an int subclass, too
             if f.type == "int" and type(value) is not int:
                 raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-        if self.total_nodes() != self.n_compute_nodes + self.n_storage_nodes:
-            raise ConfigurationError(
-                f"topology mismatch: {self.groups}x{self.chassis_per_group}"
-                f"x{self.routers_per_chassis}x{self.nodes_per_router} = "
-                f"{self.total_nodes()} nodes, but "
-                f"{self.n_compute_nodes} compute + {self.n_storage_nodes} storage"
-            )
         if self.n_compute_nodes < 1:
             raise ConfigurationError("need at least one compute node")
         if self.n_storage_nodes < 0:
@@ -114,23 +99,17 @@ class Platform:
 def build_platform(cfg: PlatformConfig) -> Platform:
     """Construct the platform deterministically from its configuration.
 
-    Node ids run 0..N-1 in group-major order. When there is exactly one
-    storage node per chassis (the default 12 = 3x4), the last node of each
-    chassis takes the storage role; otherwise the highest ids do.
+    Node ids run 0..C+S-1 for C compute and S storage nodes. Storage node k
+    (from 0) gets id (k + 1) * C // S + k, so the storage nodes spread evenly
+    and the last id is always one of them; the compute nodes take the other
+    ids in order. The default 96 + 12 puts storage at 8, 17, ..., 107, and
+    a single storage node gets the last id.
     """
     cfg.validate()
-    total = cfg.total_nodes()
-    per_chassis = cfg.routers_per_chassis * cfg.nodes_per_router
-    n_chassis = cfg.groups * cfg.chassis_per_group
-
-    if cfg.n_storage_nodes == n_chassis:
-        storage = tuple(
-            (i + 1) * per_chassis - 1 for i in range(n_chassis)
-        )
-    else:
-        storage = tuple(range(total - cfg.n_storage_nodes, total))
+    c, s = cfg.n_compute_nodes, cfg.n_storage_nodes
+    storage = tuple((k + 1) * c // s + k for k in range(s))
     storage_set = set(storage)
-    compute = tuple(i for i in range(total) if i not in storage_set)
+    compute = tuple(i for i in range(c + s) if i not in storage_set)
 
     if cfg.bb_capacity_total == "auto":
         capacity = expected_bb_capacity(cfg.bb_request_model, cfg.n_compute_nodes)
@@ -142,7 +121,7 @@ def build_platform(cfg: PlatformConfig) -> Platform:
     per_node: dict[int, int] = {}
     if storage:
         base, rem = divmod(capacity, len(storage))
-        for i, node in enumerate(sorted(storage)):
+        for i, node in enumerate(storage):
             per_node[node] = base + (1 if i < rem else 0)
 
     return Platform(

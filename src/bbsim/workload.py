@@ -192,27 +192,29 @@ def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
 
 # -- synthetic workloads (tests and demos) -----------------------------------
 
+SYNTHETIC_RUNTIME_RANGE = (60, 1200)  # seconds, drawn log-uniformly
+SYNTHETIC_WALLTIME_FACTOR = 2.0  # walltime is runtime times uniform [1, this)
+
 
 def synthetic_workload(
     n_jobs: int,
     seed: int,
     *,
     mean_interarrival: float = 30.0,
-    runtime_range: tuple[int, int] = (60, 1200),
     max_procs: int = 32,
-    walltime_factor: float = 2.0,
     bb_model: LogNormalModel | None = None,
 ) -> list[JobSpec]:
     """Poisson arrivals, log-uniform runtimes, geometric-ish processor counts."""
     rng = np.random.default_rng(seed)
-    lo, hi = runtime_range
+    lo, hi = SYNTHETIC_RUNTIME_RANGE
     t = 0.0
     jobs: list[JobSpec] = []
     for i in range(n_jobs):
         t += rng.exponential(mean_interarrival)
         runtime = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         runtime = max(runtime, 1)
-        walltime = max(runtime, int(round(runtime * rng.uniform(1.0, walltime_factor))))
+        stretch = rng.uniform(1.0, SYNTHETIC_WALLTIME_FACTOR)
+        walltime = max(runtime, int(round(runtime * stretch)))
         n_procs = min(int(2 ** rng.integers(0, int(math.log2(max_procs)) + 1)), max_procs)
         jobs.append(
             JobSpec(

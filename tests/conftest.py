@@ -45,10 +45,6 @@ def table1_platform():
     cfg = PlatformConfig(
         n_compute_nodes=4,
         n_storage_nodes=1,
-        groups=1,
-        chassis_per_group=1,
-        routers_per_chassis=1,
-        nodes_per_router=5,
         bb_capacity_total=10 * TB,
     )
     return build_platform(cfg)

@@ -363,8 +363,7 @@ def test_manifest_determinism(report, tmp_path):
     config = tmp_path / "platform.json"
     config.write_text(
         '{"platform": {"n_compute_nodes": 4, "n_storage_nodes": 1,'
-        ' "groups": 1, "chassis_per_group": 1, "routers_per_chassis": 1,'
-        ' "nodes_per_router": 5, "bb_capacity_total": 10000000000000}}'
+        ' "bb_capacity_total": 10000000000000}}'
     )
     identical = True
     for policy in ("fcfs-bb", "plan"):

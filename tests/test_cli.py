@@ -43,8 +43,6 @@ def table1_config(tmp_path):
     path.write_text(json.dumps({
         "platform": {
             "n_compute_nodes": 4, "n_storage_nodes": 1,
-            "groups": 1, "chassis_per_group": 1,
-            "routers_per_chassis": 1, "nodes_per_router": 5,
             "bb_capacity_total": 10 * 10**12,
         }
     }))
@@ -301,7 +299,7 @@ def test_simulate_negative_submit_time_is_input_error(tmp_path, table1_config, c
 @pytest.mark.parametrize("document, message", [
     ({"platform": {"bogus": 1}}, "bogus"),
     ({"platform": {"bb_request_model": {"mu": 1.0}}}, "sigma"),
-    ({"platform": {"n_compute_nodes": 5}}, "topology mismatch"),
+    ({"platform": {"groups": 3}}, "groups"),
     ({"platform": [4]}, "must be a JSON object"),
     ([4], "must hold a JSON object"),
     ({"platform": {"n_compute_nodes": "96"}}, "n_compute_nodes must be an integer"),
@@ -552,6 +550,18 @@ def test_analyze_impossible_record_is_input_error(tmp_path, capsys):
     assert main(["analyze", str(records), "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
     assert err == "error: records line 4: finish must be finite, got 'inf'\n"
+    assert not outdir.exists()
+
+
+def test_analyze_duplicate_or_procless_job_is_input_error(tmp_path, capsys):
+    records = tmp_path / "r.csv"
+    records.write_text("# bbsim-records v1\n"
+                       "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+                       "1,0,0,10,1,0,0,fcfs\n1,0,100,110,1,0,0,fcfs\n2,0,0,10,-5,0,0,fcfs\n")
+    outdir = tmp_path / "out"
+    assert main(["analyze", str(records), "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: records line 4: duplicate job 1 for policy 'fcfs'\n"
     assert not outdir.exists()
 
 

@@ -21,10 +21,6 @@ def small_platform(pfs_bw=100, compute_bw=50, bb=10_000):
     cfg = PlatformConfig(
         n_compute_nodes=4,
         n_storage_nodes=1,
-        groups=1,
-        chassis_per_group=1,
-        routers_per_chassis=1,
-        nodes_per_router=5,
         compute_link_bw=compute_bw,
         pfs_link_bw=pfs_bw,
         bb_capacity_total=bb,
@@ -368,8 +364,7 @@ def test_drain_and_stage_out_ending_together_finish_the_job_once():
     # job 2's last drain and its stage-out both end at 863/12 s; job 1
     # queues its stage-in on the link and is killed at its walltime
     platform = build_platform(PlatformConfig(
-        n_compute_nodes=10, n_storage_nodes=1, groups=1, chassis_per_group=1,
-        routers_per_chassis=1, nodes_per_router=11,
+        n_compute_nodes=10, n_storage_nodes=1,
         compute_link_bw=8, pfs_link_bw=2, bb_capacity_total=2000,
     ))
     jobs = [

@@ -37,8 +37,7 @@ def job_specs(draw, job_id):
 def test_engine_matches_lifecycle_oracle(n_jobs, data, tick, pfs_bw, compute_bw):
     jobs = [data.draw(job_specs(i)) for i in range(1, n_jobs + 1)]
     platform = build_platform(PlatformConfig(  # room for every job at once
-        n_compute_nodes=2 * MAX_JOBS, n_storage_nodes=1, groups=1, chassis_per_group=1,
-        routers_per_chassis=1, nodes_per_router=2 * MAX_JOBS + 1,
+        n_compute_nodes=2 * MAX_JOBS, n_storage_nodes=1,
         compute_link_bw=compute_bw, pfs_link_bw=pfs_bw, bb_capacity_total=MAX_JOBS * MAX_BB,
     ))
     cfg = SimConfig(tick_period_s=tick, io_model="on", validate=True)

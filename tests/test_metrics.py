@@ -150,6 +150,9 @@ def test_read_records_rejects_missing_or_extra_fields(row):
     ("1,10,5,20,1,0,0,fcfs", "need submit <= start <= finish, got 10, 5, 20"),
     ("1,0,0,10,1,0,7,fcfs", "killed must be 0 or 1, got '7'"),
     ("1,0,0,abc,1,0,0,fcfs", "could not convert string to float: 'abc'"),
+    ("2,0,0,10,-5,0,0,fcfs", "n_procs must be >= 1, got -5"),
+    ("2,0,0,10,1,-1,0,fcfs", "bb_total must be >= 0, got -1"),
+    ("1,0,100,110,1,0,0,fcfs", "duplicate job 1 for policy 'fcfs'"),
 ])
 def test_read_records_rejects_what_no_run_writes(row, message):
     buf = io.StringIO(

@@ -31,10 +31,6 @@ def test_no_storage_cluster():
     cfg = PlatformConfig(
         n_compute_nodes=4,
         n_storage_nodes=0,
-        groups=1,
-        chassis_per_group=1,
-        routers_per_chassis=1,
-        nodes_per_router=4,
         bb_capacity_total=0,
     )
     p = build_platform(cfg)
@@ -55,14 +51,35 @@ def test_capacity_remainder_to_lowest_ids():
     assert sum(caps) == 12 * 10**12 + 5
 
 
-def test_invalid_topology_rejected():
-    with pytest.raises(ConfigurationError):
-        PlatformConfig(n_compute_nodes=95).validate()
+def storage_ids(c, s):
+    p = build_platform(PlatformConfig(n_compute_nodes=c, n_storage_nodes=s,
+                                      bb_capacity_total=0))
+    return p, tuple(p.bb_capacity_per_node)
+
+
+def test_storage_ids_spread_over_the_compute_nodes():
+    assert storage_ids(10, 3)[1] == (3, 7, 12)
+
+
+def test_more_storage_than_compute_nodes_builds():
+    p, storage = storage_ids(5, 12)
+    assert len(set(storage)) == 12 and storage[-1] == 16
+    assert p.compute_nodes == tuple(sorted(set(range(17)) - set(storage)))
+
+
+@pytest.mark.parametrize("c", [1, 2, 3, 7, 12, 31])
+@pytest.mark.parametrize("s", [0, 1, 2, 5, 12, 40])
+def test_node_ids_partition_the_range(c, s):
+    p, storage = storage_ids(c, s)
+    assert len(set(storage)) == s
+    assert all(0 <= node < c + s for node in storage)
+    if s:
+        assert storage[-1] == c + s - 1
+    assert p.compute_nodes == tuple(i for i in range(c + s) if i not in storage)
 
 
 @pytest.mark.parametrize("field, value", [
     ("n_compute_nodes", "96"),
-    ("groups", 3.0),
     ("pfs_link_bw", True),
     ("bb_capacity_total", False),
 ])

@@ -185,6 +185,9 @@ def cmd_simulate(args) -> int:
             file_cfg = json.load(f)
         if not isinstance(file_cfg, dict):
             raise InputError(f"{args.config} must hold a JSON object")
+        unknown = sorted(file_cfg.keys() - {"platform"})
+        if unknown:
+            raise InputError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
         platform_cfg = file_cfg.get("platform", {})
     config = {
         "platform": platform_cfg,
@@ -291,6 +294,10 @@ def cmd_gantt(args) -> int:
                     event = entry["event"]
                     if event in ("launch", "finish", "kill"):
                         job, t = entry["job"], entry["t"]
+                        if type(job) is not int:
+                            raise TypeError("'job' must be an int")
+                        if not (type(t) is int or type(t) is float and math.isfinite(t)):
+                            raise TypeError("'t' must be a finite number")
                         if event == "launch":
                             nodes = entry.get("nodes", [])
                             if not (isinstance(nodes, list) and all(type(n) is int for n in nodes)):
@@ -299,6 +306,8 @@ def cmd_gantt(args) -> int:
                             if not isinstance(shares, dict):
                                 raise TypeError("'bb_shares' must be an object")
                             entry["bb_shares"] = {int(k): v for k, v in shares.items()}
+                            if not all(type(v) is int and v >= 0 for v in shares.values()):
+                                raise TypeError("'bb_shares' values must be ints >= 0")
                             launches[job] = entry
                         else:
                             ends[job] = t

@@ -153,8 +153,10 @@ def read_records(stream: TextIO) -> list[JobRecord]:
                 killed=row["killed"] == "1",
                 policy=row["policy"],
             )
-            # only what a run can write: a finite finish, submit <= start <= finish, a 0/1
+            # only what a run can write: a finite finish, 0 <= submit <= start <= finish, a 0/1
             # flag, a job on at least one processor, and each job once per policy
+            if r.submit < 0:
+                raise ValueError(f"submit must be >= 0, got {r.submit}")
             if not math.isfinite(r.finish):
                 raise ValueError(f"finish must be finite, got {row['finish']!r}")
             if not r.submit <= r.start <= r.finish:

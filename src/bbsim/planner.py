@@ -1,7 +1,7 @@
 """Plan-based scheduling: permutation plans scored by sum of waiting times^alpha,
 searched exhaustively for small queues or by simulated annealing seeded with
-nine heuristic orderings. A build finds and takes each searched job's slot in
-one AvailabilityProfile.earliest_slot scan.
+nine heuristic orderings. A build finds and takes each job's slot in one
+AvailabilityProfile.earliest_slot scan.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import math
 import numbers
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .availability import AvailabilityProfile
 from .policies import CycleResult, SchedulerState, launch
@@ -94,25 +94,17 @@ def build_plan(
     profile: AvailabilityProfile,
     alpha: float,
     stats: SearchStats | None = None,
-    known_starts: Sequence[int] = (),
 ) -> ExecutionPlan:
-    """Place jobs in the given order at their earliest slots on a profile copy.
-
-    The first len(known_starts) jobs go at those starts instead, capacity-checked.
-    """
+    """Place jobs in the given order at their earliest slots on a profile copy."""
     if stats is not None:
         stats.n_builds += 1
     work = profile.copy()
-    add, slot = work.add, work.earliest_slot
-    n_known, last = len(known_starts), len(jobs) - 1
+    slot, last = work.earliest_slot, len(jobs) - 1
     starts: dict[int, int] = {}
     waits = []
     for k, (jid, n_procs, bb, walltime, submit_time, not_before) in enumerate(jobs):
-        if k < n_known:
-            start = known_starts[k]
-            add(start, start + walltime, n_procs, bb)
-        else:  # nothing is placed after the last job, so its demand is never taken
-            start = slot(n_procs, bb, walltime, not_before, k < last)
+        # nothing is placed after the last job, so its demand is never taken
+        start = slot(n_procs, bb, walltime, not_before, k < last)
         starts[jid] = start
         waits.append(start - submit_time)
     # job ids are unique, so starts keeps their order
@@ -174,8 +166,8 @@ def anneal(
     Initial temperature is the best-worst candidate score spread; annealing is
     skipped entirely when the spread is zero. The incumbent plan is kept
     between steps, so each inner step constructs exactly one new plan:
-    n_cooling * m_steps + 9 constructions total with defaults (189). A swap
-    of positions i and j replays the incumbent's first min(i, j) starts.
+    n_cooling * m_steps + 9 constructions total with defaults (189), each of
+    which scans every job.
     """
     if stats is None:
         stats = SearchStats()
@@ -202,9 +194,8 @@ def anneal(
                 j += 1
             new_perm = list(current.permutation)
             new_perm[i], new_perm[j] = new_perm[j], new_perm[i]
-            prefix = [current.starts[jid] for jid in new_perm[: min(i, j)]]
             new_jobs = [jobs_by_id[jid] for jid in new_perm]
-            plan = build_plan(new_jobs, profile, cfg.alpha, stats, prefix)
+            plan = build_plan(new_jobs, profile, cfg.alpha, stats)
             if plan.score < best.score:
                 best = current = plan
             elif plan.score < current.score or rng.random() < math.exp(

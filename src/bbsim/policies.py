@@ -90,10 +90,11 @@ def easy_schedule(
     """EASY-backfilling: FCFS pass, head reservation, backfill, drop reservation.
 
     The head reservation covers processors only, or processors and burst
-    buffers when reserve_bb is set. With sjf set, SJF order applies to the
-    backfill candidates only; the head stays at the front of the queue.
-    With no processor free at now beside those the head holds, no candidate
-    can start, so the backfill is skipped; the head reservation is reported.
+    buffers when reserve_bb is set; one earliest_slot scan finds and holds it.
+    With sjf set, SJF order applies to the backfill candidates only; the head
+    stays at the front of the queue. With no processor free at now beside the
+    hold, no candidate can start, so the backfill is skipped; the head
+    reservation is reported either way.
     With validate, a re-check catches only this pass's own hold being weaker than
     the reported reservation: a launch overlapping the hold raises CapacityError first.
     """
@@ -104,20 +105,14 @@ def easy_schedule(
     head = next(queued)
     bb_demand = head.bb_total if reserve_bb else 0
     start = state.profile.earliest_slot(
-        head.n_procs, bb_demand, head.walltime, state.now
+        head.n_procs, bb_demand, head.walltime, state.now, take=True
     )
     result.head_reservation = HeadReservation(head.id, start, head.n_procs, bb_demand)
-    free_procs = state.profile.free_at(state.now)[0]
-    if start == state.now:
-        free_procs -= head.n_procs
-    if free_procs == 0:  # every job needs a processor
-        return result
-    held = (start, start + head.walltime, head.n_procs, bb_demand)
-    state.profile.add(*held)
-    rest = list(queued)
-    candidates = sjf_sorted(rest) if sjf else rest
-    result.launched += backfill_pass(state, candidates)
-    state.profile.remove(*held)
+    if state.profile.free_at(state.now)[0]:  # every job needs a processor
+        rest = list(queued)
+        candidates = sjf_sorted(rest) if sjf else rest
+        result.launched += backfill_pass(state, candidates)
+    state.profile.remove(start, start + head.walltime, head.n_procs, bb_demand)
     if validate:
         recomputed = state.profile.earliest_slot(
             head.n_procs, bb_demand, head.walltime, state.now

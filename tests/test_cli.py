@@ -306,6 +306,7 @@ def test_simulate_negative_submit_time_is_input_error(tmp_path, table1_config, c
     ({"platform": {"bb_request_model": {"mu": "x", "sigma": 1.0}}}, "mu must be a real number"),
     ({"platform": {"bb_request_model": {"mu": 1000, "sigma": 1.0}}},
      "capacity overflows with mu 1000, sigma 1.0"),
+    ({"platfrom": {"n_compute_nodes": 4}}, "unknown key(s) 'platfrom'"),
 ])
 def test_simulate_bad_platform_config_is_input_error(tmp_path, table1_workload, capsys,
                                                      document, message):
@@ -553,6 +554,19 @@ def test_analyze_impossible_record_is_input_error(tmp_path, capsys):
     assert not outdir.exists()
 
 
+def test_analyze_negative_submit_is_input_error(tmp_path, capsys):
+    # no run writes one, and --split would file it in a negative part
+    records = tmp_path / "r.csv"
+    records.write_text("# bbsim-records v1\n"
+                       "job_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+                       "1,-1900000,0,10,1,0,0,fcfs\n")
+    outdir = tmp_path / "out"
+    assert main(["analyze", str(records), "--split", "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: records line 3: submit must be >= 0, got -1900000\n"
+    assert not outdir.exists()
+
+
 def test_analyze_duplicate_or_procless_job_is_input_error(tmp_path, capsys):
     records = tmp_path / "r.csv"
     records.write_text("# bbsim-records v1\n"
@@ -580,6 +594,14 @@ def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": [1]}',
     '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"a": 1}}',
     '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0, "1"], "bb_shares": {}}',
+    '{"t": "x", "event": "launch", "job": 1, "nodes": [0], "bb_shares": {}}',
+    '{"t": true, "event": "finish", "job": 1}',
+    '{"t": NaN, "event": "kill", "job": 1}',
+    '{"t": 0, "event": "finish", "job": "1"}',
+    '{"t": 0, "event": "kill", "job": 1.0}',
+    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": "big"}}',
+    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": -1}}',
+    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": 1.5}}',
 ])
 def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
     trace = tmp_path / "trace.jsonl"

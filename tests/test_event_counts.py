@@ -162,13 +162,13 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
 
 
 # (build_plan, earliest_slot, add) calls of each plan run. earliest_slot finds
-# and takes the slot of every searched job but each build's last, finds that
-# last job's slot without taking it, and finds each search's per-job lower
-# bounds; add replays known starts and launches jobs.
+# and takes the slot of every job but each build's last, finds that last job's
+# slot without taking it, and finds each search's per-job lower bounds; add
+# only launches jobs, once per job of the run.
 PLAN_WORK = {
-    "backfill-pressure": (3403, 20453, 5577),
+    "backfill-pressure": (3403, 25970, 60),
     "io-lifecycle": (479, 2102, 60),
-    "plan-anneal": (14798, 104777, 33300),
+    "plan-anneal": (14798, 137957, 120),
 }
 
 
@@ -182,6 +182,7 @@ def test_plan_search_work(workload, monkeypatch):
                             counting(calls, name, getattr(AvailabilityProfile, name)))
     run(workload, "plan")
     assert tuple(calls.values()) == PLAN_WORK[workload]
+    assert calls["add"] == len(inputs(workload)[1]["plan"])
 
 
 @pytest.mark.parametrize("policy", bench.POLICIES)

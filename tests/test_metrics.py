@@ -153,6 +153,7 @@ def test_read_records_rejects_missing_or_extra_fields(row):
     ("2,0,0,10,-5,0,0,fcfs", "n_procs must be >= 1, got -5"),
     ("2,0,0,10,1,-1,0,fcfs", "bb_total must be >= 0, got -1"),
     ("1,0,100,110,1,0,0,fcfs", "duplicate job 1 for policy 'fcfs'"),
+    ("2,-1900000,0,10,1,0,0,fcfs", "submit must be >= 0, got -1900000"),
 ])
 def test_read_records_rejects_what_no_run_writes(row, message):
     buf = io.StringIO(

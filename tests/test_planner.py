@@ -193,8 +193,7 @@ def test_anneal_budget_is_189():
 def test_anneal_earliest_slot_budget(monkeypatch):
     """One seeded annealing cycle makes an exact number of earliest_slot
     scans: one lower bound per job on the base profile, then, in every
-    build, one scan per job after its replayed prefix (taking the slot for
-    all but the last)."""
+    build, one scan per job (taking the slot for all but the last)."""
     base = AvailabilityProfile(8, 10)
     calls = {"bounds": 0, "searched": 0}
     earliest_slot = AvailabilityProfile.earliest_slot
@@ -207,39 +206,12 @@ def test_anneal_earliest_slot_budget(monkeypatch):
     stats = SearchStats()
     anneal(heterogeneous_queue(8), base, 50, AnnealConfig(alpha=2), random.Random(0), stats)
     assert stats.n_builds == 189
-    # 9 * 8 for the seed orderings, then 8 - min(i, j) per swap; 189 * 8
-    # without the replay
-    assert calls == {"bounds": 8, "searched": 1147}
-
-
-def test_prefix_replay_equals_scratch_build():
-    rng = random.Random(11)
-    for trial in range(100):
-        n = rng.randint(2, 9)
-        queue = random_queue(rng, n, now=40)
-        profile = AvailabilityProfile(8, 10)
-        for k in range(rng.randint(0, 4)):
-            start = rng.randint(0, 80)
-            end = start + rng.randint(1, 200)
-            procs, bb = rng.randint(0, 4), rng.randint(0, 5)
-            if profile.has_capacity(procs, bb, start, end):
-                profile.add(start, end, procs, bb)
-        incumbent_order = rng.sample(demands(queue, profile, 40), n)
-        incumbent = build_plan(incumbent_order, profile, 2)
-        i, j = rng.sample(range(n), 2)
-        order = list(incumbent_order)
-        order[i], order[j] = order[j], order[i]
-        prefix = tuple(incumbent.starts[job.id] for job in order[: min(i, j)])
-        replayed = build_plan(order, profile, 2, known_starts=prefix)
-        scratch = build_plan(order, profile, 2)
-        assert replayed.starts == scratch.starts
-        assert replayed.score == scratch.score
-        assert replayed.permutation == scratch.permutation
+    assert calls == {"bounds": 8, "searched": stats.n_builds * 8}
 
 
 def test_lower_bounds_equal_searching_from_now():
     """Builds that search each job from its per-search lower bound place the
-    jobs where builds that search from now do, replayed prefix or not."""
+    jobs where builds that search from now do."""
     rng = random.Random(12)
     for trial in range(200):
         n, now = rng.randint(1, 9), rng.randint(0, 60)
@@ -253,14 +225,11 @@ def test_lower_bounds_equal_searching_from_now():
                 profile.add(start, end, procs, bb)
         bounded = rng.sample(demands(queue, profile, now), n)
         from_now = [row._replace(not_before=now) for row in bounded]
-        prefix = tuple(build_plan(bounded, profile, 2).starts[row.id]
-                       for row in bounded[: rng.randint(0, n - 1)])
-        for known in ((), prefix):
-            plan = build_plan(bounded, profile, 2, known_starts=known)
-            oracle = build_plan(from_now, profile, 2, known_starts=known)
-            assert plan.starts == oracle.starts
-            assert plan.score == oracle.score
-            assert plan.permutation == oracle.permutation
+        plan = build_plan(bounded, profile, 2)
+        oracle = build_plan(from_now, profile, 2)
+        assert plan.starts == oracle.starts
+        assert plan.score == oracle.score
+        assert plan.permutation == oracle.permutation
 
 
 def test_anneal_skipped_for_identical_jobs():

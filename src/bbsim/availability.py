@@ -4,15 +4,16 @@ The profile is a step function of free capacity and no more: callers add and
 remove demand over the interval they know, and free capacity stays between
 zero and the fixed platform totals. Each step stores its free processors and
 bytes, so earliest-slot queries and window feasibility checks look only at
-the steps their window covers. earliest_slot is the one slot scan; with take
-it also takes the demand over the window it found, in the same pass. Time is
-integer seconds throughout.
+the steps their window covers; a +inf sentinel step with the totals ends
+every scan without a bound check. earliest_slot is the one slot scan; with
+take it also takes the demand over the window it found, in the same pass.
+Time is integer seconds throughout.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right
 
 
 class CapacityError(Exception):
@@ -36,10 +37,10 @@ class AvailabilityProfile:
 
     Internally keeps sorted breakpoint times, each with the free processors
     and burst-buffer bytes up to the next one. The first breakpoint is -inf,
-    so every time lies in exactly one step; past it, a breakpoint exists
-    exactly where free capacity changes, so two profiles are equal exactly
-    when their step functions are. Queries bisect to the step holding their
-    start and scan only the steps their window covers.
+    so every time lies in exactly one step, and the last is +inf; between
+    them, a breakpoint exists exactly where free capacity changes, so two
+    profiles are equal exactly when their step functions are. Queries bisect
+    to the step holding their start and scan only the steps their window covers.
     """
 
     def __init__(self, total_procs: int, total_bb: int):
@@ -47,9 +48,9 @@ class AvailabilityProfile:
             raise ValueError("platform totals must be non-negative")
         self.total_procs = total_procs
         self.total_bb = total_bb
-        self._times: list[float] = [-math.inf]
-        self._free_p: list[int] = [total_procs]
-        self._free_b: list[int] = [total_bb]
+        self._times: list[float] = [-math.inf, math.inf]
+        self._free_p: list[int] = [total_procs, total_procs]
+        self._free_b: list[int] = [total_bb, total_bb]
 
     def copy(self) -> "AvailabilityProfile":
         new = AvailabilityProfile(self.total_procs, self.total_bb)
@@ -72,12 +73,12 @@ class AvailabilityProfile:
         """
         times, fp, fb = self._times, self._free_p, self._free_b
         # breakpoints at start and end, inserted with unchanged free capacity if absent
-        if i == len(times) or times[i] != start:
+        if times[i] != start:
             times.insert(i, start)
             fp.insert(i, fp[i - 1])
             fb.insert(i, fb[i - 1])
             j += 1
-        if j == len(times) or times[j] != end:
+        if times[j] != end:
             times.insert(j, end)
             fp.insert(j, fp[j - 1])
             fb.insert(j, fb[j - 1])
@@ -101,8 +102,8 @@ class AvailabilityProfile:
         """Take the demand from free capacity over [start, end)."""
         if not (start < end and n_procs >= 0 <= bb_bytes):
             raise _bad_demand(start, end)
-        i = bisect.bisect_left(self._times, start)
-        j = bisect.bisect_left(self._times, end, i)
+        i = bisect_left(self._times, start)
+        j = bisect_left(self._times, end, i)
         if not self._apply(start, end, -n_procs, -bb_bytes, i, j):
             raise CapacityError(f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity"
                                 f" over [{start}, {end})")
@@ -111,8 +112,8 @@ class AvailabilityProfile:
         """Give back demand that add took over [start, end)."""
         if not (start < end and n_procs >= 0 <= bb_bytes):
             raise _bad_demand(start, end)
-        i = bisect.bisect_left(self._times, start)
-        j = bisect.bisect_left(self._times, end, i)
+        i = bisect_left(self._times, start)
+        j = bisect_left(self._times, end, i)
         if not self._apply(start, end, n_procs, bb_bytes, i, j):
             raise CapacityError(
                 f"demand ({n_procs} procs, {bb_bytes} B) is not held over [{start}, {end})"
@@ -121,11 +122,11 @@ class AvailabilityProfile:
     # -- queries -----------------------------------------------------------
 
     def breakpoints(self) -> list[int]:
-        return self._times[1:]
+        return self._times[1:-1]
 
     def free_at(self, t: int) -> tuple[int, int]:
         """(free processors, free burst-buffer bytes) at time t."""
-        i = bisect.bisect_right(self._times, t) - 1
+        i = bisect_right(self._times, t) - 1
         return self._free_p[i], self._free_b[i]
 
     def has_capacity(self, n_procs: int, bb_bytes: int, start: int, end: int) -> bool:
@@ -133,11 +134,11 @@ class AvailabilityProfile:
         if n_procs > self.total_procs or bb_bytes > self.total_bb:
             return False
         times, fp, fb = self._times, self._free_p, self._free_b
-        for k in range(bisect.bisect_right(times, start) - 1, len(times)):
-            if times[k] >= end:
-                break
+        k = bisect_right(times, start) - 1
+        while times[k] < end:
             if fp[k] < n_procs or fb[k] < bb_bytes:
                 return False
+            k += 1
         return True
 
     def earliest_slot(
@@ -145,52 +146,57 @@ class AvailabilityProfile:
     ) -> int:
         """Smallest t >= not_before with the demand free over all of [t, t+duration).
 
-        One scan from the step holding not_before: a step short of the demand
-        moves the candidate start to the next breakpoint. With take, the demand
-        is also taken over the window found, with its breakpoints put where the
-        scan stopped; the same as earliest_slot followed by add.
+        One scan from the step holding not_before: a run of steps short of the
+        demand moves the candidate start to the breakpoint after it. With take,
+        the demand is also taken over the window found, with its breakpoints
+        put where the scan stopped; the same as earliest_slot followed by add.
         """
-        if n_procs > self.total_procs or bb_bytes > self.total_bb:
-            raise InfeasibleError(
-                f"demand ({n_procs} procs, {bb_bytes} B) exceeds platform totals"
-            )
-        if duration <= 0:
+        if not (n_procs <= self.total_procs and bb_bytes <= self.total_bb and duration > 0):
+            if n_procs > self.total_procs or bb_bytes > self.total_bb:
+                raise InfeasibleError(
+                    f"demand ({n_procs} procs, {bb_bytes} B) exceeds platform totals"
+                )
             raise ValueError("duration must be positive")
         times, fp, fb = self._times, self._free_p, self._free_b
         start, end = not_before, not_before + duration
-        i = bisect.bisect_right(times, start) - 1  # the step holding start
-        for k in range(i, len(times)):
-            if times[k] >= end:
-                break
+        i = k = bisect_right(times, start) - 1  # i is the step holding start
+        while times[k] < end:
             if fp[k] < n_procs or fb[k] < bb_bytes:
-                # the last step is entirely free, so step k + 1 exists
-                i = k + 1
-                start = times[i]
+                # skip the blocked run; the last finite step holds the totals
+                k += 1
+                while fp[k] < n_procs or fb[k] < bb_bytes:
+                    k += 1
+                i, start = k, times[k]
                 end = start + duration
-        else:
-            k = len(times)
+            k += 1
         if not take:
             return start
         if not n_procs >= 0 <= bb_bytes:
             raise _bad_demand(start, end)
+        if not (n_procs or bb_bytes):
+            return start  # add would insert both ends and merge them away again
         # the scan found the demand free on every step of the window, so the
-        # unchecked write below keeps each value in [0, totals]
+        # unchecked write below keeps each value in [0, totals]. An inserted
+        # breakpoint splits a step the demand then changes, so only one found
+        # in place can merge: end first, which keeps i valid
+        if times[k] != end:
+            times.insert(k, end)
+            fp.insert(k, fp[k - 1])
+            fb.insert(k, fb[k - 1])
+        elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
+            del times[k], fp[k], fb[k]  # step k - 1, once taken from, goes on into step k
         if times[i] != start:  # start lies inside step i
             i += 1
             times.insert(i, start)
             fp.insert(i, fp[i - 1])
             fb.insert(i, fb[i - 1])
             k += 1
-        if k == len(times) or times[k] != end:
-            times.insert(k, end)
-            fp.insert(k, fp[k - 1])
-            fb.insert(k, fb[k - 1])
+        elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
+            del times[i], fp[i], fb[i]  # step i, once taken from, equals step i - 1
+            k -= 1
         for m in range(i, k):
             fp[m] -= n_procs
             fb[m] -= bb_bytes
-        for m in (k, i):  # only the two ends can have become redundant; k first keeps i valid
-            if fp[m] == fp[m - 1] and fb[m] == fb[m - 1]:
-                del times[m], fp[m], fb[m]
         return start
 
 

@@ -89,6 +89,21 @@ def cmd_convert(args) -> int:
 # -- simulate ------------------------------------------------------------------
 
 
+def _load_json(path: str):
+    """The JSON document in path; one that does not parse is an InputError naming path."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+            raise InputError(f"{path}: {exc}") from exc
+
+
+def _refuse_unknown_keys(document: dict, known, where: str) -> None:
+    unknown = sorted(document.keys() - set(known))
+    if unknown:
+        raise InputError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
 def _from_json(cls, values, where: str):
     """cls(**values), with unknown or missing keys reported as an InputError."""
     if not isinstance(values, dict):
@@ -107,6 +122,7 @@ def _platform_from_config(cfg) -> PlatformConfig:
 
 
 # the keys simulate writes into a manifest's config; --from-manifest needs them all
+# and takes no other
 CONFIG_KEYS = (
     "platform", "workload", "policy", "alpha", "sa_r", "sa_n", "sa_m", "seed",
     "io_model", "tick_period_s",
@@ -154,8 +170,7 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None,
 
 def cmd_simulate(args) -> int:
     if args.from_manifest:
-        with open(args.from_manifest) as f:
-            manifest = json.load(f)
+        manifest = _load_json(args.from_manifest)
         if not isinstance(manifest, dict) or not {"config", "workload_sha256"} <= manifest.keys():
             raise InputError(
                 f"{args.from_manifest}: a manifest needs 'config' and 'workload_sha256'"
@@ -168,6 +183,7 @@ def cmd_simulate(args) -> int:
             raise InputError(
                 f"{args.from_manifest}: manifest config lacks {', '.join(map(repr, missing))}"
             )
+        _refuse_unknown_keys(config, CONFIG_KEYS, f"{args.from_manifest}: config")
         if not isinstance(config["workload"], str):
             raise InputError(f"{args.from_manifest}: 'workload' must be a file path")
         if config["policy"] not in POLICY_NAMES:
@@ -181,13 +197,10 @@ def cmd_simulate(args) -> int:
         raise InputError("--workload is required (or use --from-manifest)")
     platform_cfg = {}
     if args.config:
-        with open(args.config) as f:
-            file_cfg = json.load(f)
+        file_cfg = _load_json(args.config)
         if not isinstance(file_cfg, dict):
             raise InputError(f"{args.config} must hold a JSON object")
-        unknown = sorted(file_cfg.keys() - {"platform"})
-        if unknown:
-            raise InputError(f"{args.config}: unknown key(s) {', '.join(map(repr, unknown))}")
+        _refuse_unknown_keys(file_cfg, ("platform",), args.config)
         platform_cfg = file_cfg.get("platform", {})
     config = {
         "platform": platform_cfg,
@@ -308,10 +321,17 @@ def cmd_gantt(args) -> int:
                             entry["bb_shares"] = {int(k): v for k, v in shares.items()}
                             if not all(type(v) is int and v >= 0 for v in shares.values()):
                                 raise TypeError("'bb_shares' values must be ints >= 0")
+                            if job in launches:
+                                raise ValueError(f"job {job} is launched twice")
                             launches[job] = entry
+                        elif job not in launches:
+                            raise ValueError(f"job {job} ends before it is launched")
+                        elif job in ends:
+                            raise ValueError(f"job {job} has already ended")
                         else:
                             ends[job] = t
-                except (ValueError, KeyError, TypeError) as exc:
+                # RecursionError: JSON nested too deep to parse
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
                     raise InputError(
                         f"{args.trace}: line {line_no} is not a trace event "
                         f"({type(exc).__name__}: {exc})"

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, TextIO
 
+from .policies import POLICY_NAMES
+
 SLOWDOWN_BOUND_S = 600  # jobs shorter than 10 minutes are bounded
 DEFAULT_TAIL_K = 3000
 
@@ -132,6 +134,14 @@ def read_records(stream: TextIO) -> list[JobRecord]:
     if first != RECORDS_HEADER:
         raise ValueError(f"not a bbsim records file (header {first!r})")
     reader = csv.DictReader(stream)
+    try:
+        return _read_rows(reader)
+    except csv.Error as exc:  # for example a field past csv's size limit
+        # the DictReader's line_num counts only the rows it returned; its reader's is current
+        raise ValueError(f"records line {reader.reader.line_num + 1}: {exc}") from exc
+
+
+def _read_rows(reader: csv.DictReader) -> list[JobRecord]:
     missing = [c for c in RECORD_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"records file lacks column(s) {', '.join(missing)}")
@@ -154,7 +164,7 @@ def read_records(stream: TextIO) -> list[JobRecord]:
                 policy=row["policy"],
             )
             # only what a run can write: a finite finish, 0 <= submit <= start <= finish, a 0/1
-            # flag, a job on at least one processor, and each job once per policy
+            # flag, a job on at least one processor, a known policy, and each job once per policy
             if r.submit < 0:
                 raise ValueError(f"submit must be >= 0, got {r.submit}")
             if not math.isfinite(r.finish):
@@ -168,6 +178,8 @@ def read_records(stream: TextIO) -> list[JobRecord]:
                 raise ValueError(f"n_procs must be >= 1, got {r.n_procs}")
             if r.bb_total < 0:
                 raise ValueError(f"bb_total must be >= 0, got {r.bb_total}")
+            if r.policy not in POLICY_NAMES:
+                raise ValueError(f"unknown policy {r.policy!r}")
             if (r.policy, r.job_id) in seen:
                 raise ValueError(f"duplicate job {r.job_id} for policy {r.policy!r}")
         except ValueError as exc:

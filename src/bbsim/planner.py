@@ -192,9 +192,8 @@ def anneal(
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            new_perm = list(current.permutation)
-            new_perm[i], new_perm[j] = new_perm[j], new_perm[i]
-            new_jobs = [jobs_by_id[jid] for jid in new_perm]
+            new_jobs = [jobs_by_id[jid] for jid in current.permutation]
+            new_jobs[i], new_jobs[j] = new_jobs[j], new_jobs[i]
             plan = build_plan(new_jobs, profile, cfg.alpha, stats)
             if plan.score < best.score:
                 best = current = plan

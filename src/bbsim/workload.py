@@ -167,7 +167,10 @@ def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
     header_line = stream.readline()
     if not header_line.strip():
         raise ValueError("empty workload file")
-    header = json.loads(header_line)
+    try:
+        header = json.loads(header_line)
+    except RecursionError as exc:  # nested too deep to parse
+        raise ValueError(f"line 1: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != WORKLOAD_FORMAT:
         raise ValueError(f"not a {WORKLOAD_FORMAT} file")
     if header.get("version") != WORKLOAD_VERSION:
@@ -185,7 +188,8 @@ def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
             if unknown:
                 raise ValueError(f"unknown job field(s) {', '.join(unknown)}")
             jobs.append(JobSpec(**fields))
-        except (TypeError, ValueError) as exc:  # TypeError: missing fields, or not an object
+        # TypeError: missing fields, or not an object; RecursionError: nested too deep
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ValueError(f"line {line_no}: {exc}") from exc
     return jobs, header
 

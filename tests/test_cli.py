@@ -417,6 +417,45 @@ def test_from_manifest_bad_workload_or_policy_is_input_error(
     assert message in err
 
 
+def test_from_manifest_unknown_config_key_is_input_error(
+        tmp_path, table1_workload, table1_config, capsys):
+    """Misspelt keys are refused, not run as if absent, as --config refuses them."""
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["config"].update(platfrom={"n_compute_nodes": 4}, io_modle="on")
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(path),
+                 "-o", str(tmp_path / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: config: unknown key(s) 'io_modle', 'platfrom'\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("kind", ["workload", "config", "manifest"])
+def test_simulate_json_nested_too_deep_is_input_error(tmp_path, table1_workload,
+                                                      table1_config, capsys, kind):
+    path = tmp_path / "deep.json"
+    argv = ["simulate", "-o", str(tmp_path / "out.csv"),
+            "--manifest", str(tmp_path / "m.json")]
+    if kind == "workload":
+        path.write_text(table1_workload.read_text() + DEEP_JSON + "\n")
+        argv += ["--workload", str(path)]
+    else:
+        path.write_text(DEEP_JSON)
+        argv += (["--workload", str(table1_workload), "--config", str(path)]
+                 if kind == "config" else ["--from-manifest", str(path)])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "maximum recursion depth exceeded" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 @pytest.fixture
 def pressure_prefix(tmp_path):
     """The first 40 jobs of the pressure workload, buffer requests cut to capacity."""
@@ -579,6 +618,22 @@ def test_analyze_duplicate_or_procless_job_is_input_error(tmp_path, capsys):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("header, row, line", [
+    ("policy", "1,0,0,10,1,0,0," + "x" * 200_000, 4),
+    ("x" * 200_000, "", 2),
+], ids=["row", "header"])
+def test_analyze_field_past_csv_limit_is_input_error(tmp_path, capsys, header, row, line):
+    records = tmp_path / "r.csv"
+    records.write_text("# bbsim-records v1\n"
+                       f"job_id,submit,start,finish,n_procs,bb_total,killed,{header}\n"
+                       f"1,0,0,10,1,0,0,fcfs\n{row}\n")
+    outdir = tmp_path / "out"
+    assert main(["analyze", str(records), "-o", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: records line {line}: field larger than field limit (131072)\n"
+    assert not outdir.exists()
+
+
 def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     records = tmp_path / "r.csv"
     records.write_text("# bbsim-records v1\njob_id,submit,start\n1,0,0\n")
@@ -609,6 +664,32 @@ def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
     assert main(["gantt", str(trace), "-o", str(tmp_path / "gantt.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: line 2 is not a trace event") and err.count("\n") == 1
+
+
+LAUNCH_1 = '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {}}'
+FINISH_1 = '{"t": 9, "event": "finish", "job": 1}'
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([LAUNCH_1, LAUNCH_1.replace("[0]", "[1]")], "job 1 is launched twice"),
+    ([LAUNCH_1, '{"t": 9, "event": "finish", "job": 7}'], "job 7 ends before it is launched"),
+    (['{"t": 0, "event": "submit", "job": 1}', '{"t": 0, "event": "kill", "job": 1}'],
+     "job 1 ends before it is launched"),
+    ([LAUNCH_1, FINISH_1, FINISH_1], "job 1 has already ended"),
+    ([LAUNCH_1, FINISH_1, '{"t": 9, "event": "kill", "job": 1}'], "job 1 has already ended"),
+    ([LAUNCH_1, FINISH_1, LAUNCH_1], "job 1 is launched twice"),
+    ([LAUNCH_1, DEEP_JSON], "RecursionError: maximum recursion depth exceeded"),
+])
+def test_gantt_line_outside_a_jobs_life_is_input_error(tmp_path, capsys, lines, message):
+    """Each job launches once and ends once after that, as a run writes it."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "gantt.csv"
+    assert main(["gantt", str(trace), "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {trace}: line {len(lines)} is not a trace event (")
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
 
 
 def test_gantt_rows_per_node(tmp_path, table1_config):

@@ -154,6 +154,8 @@ def test_read_records_rejects_missing_or_extra_fields(row):
     ("2,0,0,10,1,-1,0,fcfs", "bb_total must be >= 0, got -1"),
     ("1,0,100,110,1,0,0,fcfs", "duplicate job 1 for policy 'fcfs'"),
     ("2,-1900000,0,10,1,0,0,fcfs", "submit must be >= 0, got -1900000"),
+    ("2,0,0,10,1,0,0,fifo", "unknown policy 'fifo'"),
+    ("2,0,0,10,1,0,0,fc\0fs", "unknown policy 'fc\\x00fs'"),
 ])
 def test_read_records_rejects_what_no_run_writes(row, message):
     buf = io.StringIO(

@@ -8,9 +8,13 @@ it is folded into its phase: one event ends both. All PFS-link transfers
 share bandwidth equally; a job's drains run one after another, so a new drain
 appends its bytes to the job's active one. The link keeps remaining bytes as
 ints over one common denominator in lowest terms, so completions are
-byte-exact; event times are ints or Fractions. Events run in order of exact
-time, then event priority, then push order; the heap key leads with the time
-as a float only so that most comparisons are one float comparison.
+byte-exact. Event times count units of 1/U s, U the lcm of the two link
+bandwidths under io_model "on" and 1 under "off", so only a link completion
+shared by transfers may be a Fraction; ticks, walltimes and phase ends with
+their dumps are ints. Events run in order of exact time, then event priority,
+then push order; the heap key leads with the time as a float only so that most
+comparisons are one float comparison. Times leave the engine in seconds: the
+policies' now, starts, head reservations, record finishes and trace "t".
 
 Jobs enter the queue only at a scheduler tick, which reads every job submitted
 by then; the heap holds one tick while jobs wait or remain unsubmitted. The
@@ -75,13 +79,15 @@ class FairShareLink:
 
     Transfers are keyed by the caller; the engine uses (job id, role) with
     role "in" (stage-in), "drain" (checkpoint drain) or "out" (stage-out).
-    Each transfer's remaining bytes are ``active[key] / scale``: ints over one
+    The bandwidth is bytes per time unit, an int or a Fraction. Each
+    transfer's remaining bytes are ``active[key] / scale``: ints over one
     common denominator, kept in lowest terms, so gcd(scale, *active.values())
-    is 1 and an idle link has scale 1. Times stay ints or Fractions.
+    is 1 and an idle link has scale 1. Times stay ints or Fractions, and a
+    completion at a whole time unit is an int.
     """
 
-    def __init__(self, bandwidth: int):
-        self.bw = bandwidth
+    def __init__(self, bandwidth):
+        self._bw_num, self._bw_den = bandwidth.numerator, bandwidth.denominator
         self.active: dict = {}  # key -> remaining bytes times scale (int)
         self.scale = 1
         self.last = 0
@@ -96,7 +102,7 @@ class FairShareLink:
         active = self.active
         if dt and active:
             # each transfer is served bw * dt / (b * d * n) bytes: num / den in lowest terms
-            num, den = self.bw * dt, b * d * len(active)
+            num, den = self._bw_num * dt, self._bw_den * b * d * len(active)
             g = gcd(num, den)
             num, den = num // g, den // g
             scale = lcm(self.scale, den)
@@ -127,10 +133,12 @@ class FairShareLink:
     def next_completion(self):
         if not self.active:
             return None
-        # last + min(active) * n / (scale * bw), built as one Fraction
+        # last + min(active) * n / (scale * bw), as an int when whole, else one Fraction
         a, b = self.last.numerator, self.last.denominator
-        bw = self.scale * self.bw  # in units of 1 / scale bytes per second
-        return Fraction(a * bw + min(self.active.values()) * len(self.active) * b, b * bw)
+        bw = self.scale * self._bw_num  # over bw_den, in units of 1 / scale bytes
+        num = a * bw + min(self.active.values()) * len(self.active) * b * self._bw_den
+        at, rem = divmod(num, b * bw)
+        return Fraction(num, b * bw) if rem else at
 
     def finished_ids(self, now) -> list:
         """Advance to now and pop every finished transfer, in start order."""
@@ -164,12 +172,13 @@ class NodeBinding:
         self.free_bb.update(shares)
 
 
-@dataclass
+@dataclass(slots=True)
 class RunningJob:  # its nodes, if bound, are in the NodeBinding
     job: JobSpec
     io_bytes: int  # bytes of the stage-in, each checkpoint and the stage-out; 0 with io off
-    phases: tuple  # phase durations, each but the last including its checkpoint dump
-    start: int
+    phases: tuple  # phase durations in time units, each but the last with its checkpoint dump
+    start: int  # s
+    end_by: int  # the walltime's end, in time units
     phase: int = 0  # current phase (1-based); 0 while staging in
     compute_done: bool = False
 
@@ -224,7 +233,9 @@ class Simulation:
         self.profile = AvailabilityProfile(platform.n_procs, platform.total_bb)
         self.queue: dict[int, JobSpec] = {}  # pending jobs by id, in arrival order
         self.running: dict[int, RunningJob] = {}
-        self.link = FairShareLink(platform.pfs_link_bw)
+        on = self.cfg.io_model == "on"  # then a dump and a lone transfer last whole units
+        self.unit = lcm(platform.compute_link_bw, platform.pfs_link_bw) if on else 1
+        self.link = FairShareLink(Fraction(platform.pfs_link_bw, self.unit))
         self.records: list[JobRecord] = []
         self.head_reservations: list[tuple[int, object]] = []  # (tick time, HeadReservation)
         self.plan_stats: list[SearchStats] = []
@@ -233,6 +244,7 @@ class Simulation:
         self.sink = sink
         self._link_next: tuple | None = None  # key of the link's next completion
         self._unsubmitted = self.jobs[::-1]  # popped from the end, in submit order
+        self._state = SchedulerState(self.queue, self.profile, 0)  # its now is set each tick
 
     sink = property(lambda self: self._sink, doc="Called with each trace line's dict, or None.")
     @sink.setter
@@ -257,10 +269,11 @@ class Simulation:
         tick = self.cfg.tick_period_s
         if self.queue or self._unsubmitted:
             at = now + tick if self.queue else -(-self._unsubmitted[-1].submit_time // tick) * tick
-            self._push(at, SCHEDULER_TICK)
+            self._push(at * self.unit, SCHEDULER_TICK)
 
     def run(self) -> list[JobRecord]:
         self._push_next_tick(0)
+        validate = self.cfg.validate
         while self._heap or self._link_next:
             if self._link_next and (not self._heap or self._link_next < self._heap[0]):
                 key, self._link_next = self._link_next, None
@@ -268,7 +281,7 @@ class Simulation:
                 key = heapq.heappop(self._heap)
             _, now, event, _, payload = key
             self._dispatch(now, event, payload)
-            if self.cfg.validate:
+            if validate:
                 self._check_invariants(now)
         assert not self.queue and not self.running, "simulation ended with live jobs"
         self.records.sort(key=lambda r: r.job_id)
@@ -276,7 +289,7 @@ class Simulation:
 
     def _dispatch(self, now, event: int, payload) -> None:
         if event == SCHEDULER_TICK:
-            self._on_tick(now)
+            self._on_tick(now // self.unit)
         elif payload is None:  # the link's next completion
             self._on_pfs_completions(now)
         elif event == PHASE_COMPLETE:
@@ -286,7 +299,7 @@ class Simulation:
 
     # -- scheduling ------------------------------------------------------------
 
-    def _on_tick(self, now: int) -> None:
+    def _on_tick(self, now: int) -> None:  # now in s
         pending = self._unsubmitted
         while pending and pending[-1].submit_time <= now:
             job = pending.pop()
@@ -294,7 +307,8 @@ class Simulation:
             if self._sink is not None:
                 self._sink({"t": float(now), "event": "submit", "job": job.id,
                            "submit": float(job.submit_time)})
-        state = SchedulerState(self.queue, self.profile, now)
+        state = self._state
+        state.now = now
         if self.policy_name == "plan":
             stats = SearchStats()
             result = plan_schedule(state, self.anneal_cfg, self.rng, stats)
@@ -307,31 +321,33 @@ class Simulation:
             self._start_job(job, now)
         self._push_next_tick(now)
 
-    def _start_job(self, job: JobSpec, now: int) -> None:
+    def _start_job(self, job: JobSpec, now: int) -> None:  # now in s
+        unit = self.unit
         io_bytes = job.bb_total if self.cfg.io_model == "on" else 0
-        phases = (job.runtime,)  # with no checkpoint, the phases run back to back
+        phases = (job.runtime * unit,)  # with no checkpoint, the phases run back to back
         if io_bytes:
-            dump = Fraction(io_bytes, self.platform.compute_link_bw)
+            dump = io_bytes * (unit // self.platform.compute_link_bw)
             *head, last = phase_durations(job)
-            phases = (*(d + dump for d in head), last)
-        rj = RunningJob(job=job, io_bytes=io_bytes, phases=phases, start=now)
+            phases = (*(d * unit + dump for d in head), last * unit)
+        t = now * unit
+        rj = RunningJob(job, io_bytes, phases, now, t + job.walltime * unit)
         self.running[job.id] = rj
         if self._sink is not None:
             nodes, shares = self._binding.take(job)
             self._sink({"t": float(now), "event": "launch", "job": job.id,
                         "nodes": nodes, "bb_shares": shares})
         if io_bytes:  # else the job ends at start + runtime, within its walltime
-            self._push(now + job.walltime, WALLTIME_EXPIRED, job.id)
-            self._start_pfs_transfer(now, (job.id, "in"), io_bytes)
+            self._push(rj.end_by, WALLTIME_EXPIRED, job.id)
+            self._start_pfs_transfer(t, (job.id, "in"), io_bytes)
         else:
-            self._start_phase(rj, now, 1)
+            self._start_phase(rj, t, 1)
 
     # -- lifecycle -------------------------------------------------------------
 
     def _start_phase(self, rj: RunningJob, now, phase: int) -> None:
         rj.phase = phase
         end = now + rj.phases[phase - 1]
-        if end <= rj.start + rj.job.walltime:  # else the walltime event kills the job first
+        if end <= rj.end_by:  # else the walltime event kills the job first
             self._push(end, PHASE_COMPLETE, rj.job.id)
 
     def _on_phase_complete(self, rj: RunningJob, now) -> None:
@@ -350,12 +366,14 @@ class Simulation:
         job = rj.job
         self.profile.remove(rj.start, rj.start + job.walltime, job.n_procs, job.bb_total)
         del self.running[job.id]
+        finish, rem = divmod(now, self.unit)  # in s: an int when whole, else a Fraction
+        finish = Fraction(now, self.unit) if rem else finish
         self.records.append(
             JobRecord(
                 job_id=job.id,
                 submit=job.submit_time,
                 start=rj.start,
-                finish=now,
+                finish=finish,
                 n_procs=job.n_procs,
                 bb_total=job.bb_total,
                 killed=killed,
@@ -364,7 +382,7 @@ class Simulation:
         )
         if self._sink is not None:
             self._binding.release(job.id)
-            self._sink({"t": float(now), "event": "kill" if killed else "finish", "job": job.id})
+            self._sink({"t": float(finish), "event": "kill" if killed else "finish", "job": job.id})
 
     def _kill(self, rj: RunningJob, now) -> None:
         live = [key for key in self.link.active if key[0] == rj.job.id]

@@ -63,6 +63,8 @@ class PlatformConfig:
             raise ConfigurationError("negative storage node count")
         if self.compute_link_bw <= 0 or self.pfs_link_bw <= 0:
             raise ConfigurationError("bandwidths must be strictly positive")
+        if max(self.compute_link_bw, self.pfs_link_bw) > 2**64:  # so every event time is a float
+            raise ConfigurationError("bandwidths must be at most 2**64 B/s")
         if self.bb_capacity_total != "auto":
             if type(self.bb_capacity_total) is not int or self.bb_capacity_total < 0:
                 raise ConfigurationError("bb_capacity_total must be 'auto' or bytes >= 0")

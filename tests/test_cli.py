@@ -282,6 +282,17 @@ def test_simulate_fractional_times_are_input_error(tmp_path, table1_config, caps
     assert "job 1: submit_time must be an integer" in capsys.readouterr().err
 
 
+def test_simulate_bandwidth_above_2_to_64_is_input_error(tmp_path, table1_workload, capsys):
+    # the lcm of two such bandwidths made event times too large for a float
+    config = tmp_path / "platform.json"
+    config.write_text(json.dumps({"platform": {
+        "n_compute_nodes": 4, "n_storage_nodes": 1, "bb_capacity_total": 10 * 10**12,
+        "compute_link_bw": 10**320, "pfs_link_bw": 10**320 + 1,
+    }}))
+    assert simulate_exit_code(tmp_path, table1_workload, config) == 1
+    assert capsys.readouterr().err == "error: bandwidths must be at most 2**64 B/s\n"
+
+
 def test_simulate_negative_submit_time_is_input_error(tmp_path, table1_config, capsys):
     # the link's clock starts at 0, so with io on this used to end as an internal error
     workload = write_raw_workload(tmp_path / "w.jsonl",

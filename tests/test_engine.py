@@ -429,6 +429,22 @@ def test_transfer_conservation_random(xs, bw):
     assert all(f > t0 for (t0, _), f in zip(xs, done))
 
 
+@given(
+    xs=st.lists(st.tuples(st.integers(0, 50), st.integers(1, 500)), min_size=1, max_size=8),
+    bw=st.integers(1, 7),
+    other_bw=st.integers(1, 12),
+)
+@settings(max_examples=300, deadline=None)
+def test_link_in_time_units_scales_finishes(xs, bw, other_bw):
+    """In units of 1/U s, with U the lcm of two bandwidths as in the engine,
+    the link carries bw / U bytes a unit and each finish is U times as late."""
+    unit = math.lcm(bw, other_bw)
+    seconds = link_finishes(xs, bw)
+    units = link_finishes([(t * unit, b) for t, b in xs], Fraction(bw, unit))
+    assert units == [f * unit for f in seconds]
+    assert all(type(f) is int for f in seconds + units if f.denominator == 1)
+
+
 def test_link_time_cannot_move_backwards():
     link = FairShareLink(10)
     link.add(10, "a", 100)

@@ -18,6 +18,11 @@ queue drops a launched job by its id, so no run compares two jobs. So is the
 plan search's logical work: its plan builds, earliest-slot searches and
 placements, which a faster build must leave as they are.
 
+Event times count whole units of 1/lcm(link bandwidths) s, so the only
+times that are not ints are link completions shared by transfers; their
+count per io-lifecycle run is pinned, so that a Fraction slipping back into
+the ticks, phase ends or lone transfers fails here without a timing bound.
+
 Which nodes a job holds is bound only for the trace: a run without a sink
 calls neither allocate_nodes nor allocate_bb, and a run with one calls each
 once per job.
@@ -126,6 +131,28 @@ def test_heap_pushes(policy, monkeypatch):
     monkeypatch.setattr(Simulation, "_push", counting_push)
     run("io-lifecycle", policy)
     assert pushed == PUSHED[policy]
+
+
+# keyed event times per io-lifecycle run that are not ints; io off has none
+NON_INT_TIMES = {
+    "fcfs": 614, "filler": 231, "fcfs-easy": 211,
+    "fcfs-bb": 335, "sjf-bb": 449, "plan": 10,
+}
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+def test_non_integer_event_times(policy, monkeypatch):
+    non_int = 0
+    key = Simulation._key
+
+    def counting_key(self, time, *args):
+        nonlocal non_int
+        non_int += type(time) is not int
+        return key(self, time, *args)
+
+    monkeypatch.setattr(Simulation, "_key", counting_key)
+    run("io-lifecycle", policy)
+    assert non_int == NON_INT_TIMES[policy]
 
 
 # AvailabilityProfile.has_capacity calls per run; plan asks earliest_slot only

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bbsim.engine import SimConfig, Simulation
 from bbsim.platform import (
     ConfigurationError,
     LogNormalModel,
@@ -86,6 +87,30 @@ def test_node_ids_partition_the_range(c, s):
 def test_non_integer_field_rejected(field, value):
     with pytest.raises(ConfigurationError, match=field):
         PlatformConfig(**{field: value}).validate()
+
+
+@pytest.mark.parametrize("field", ["compute_link_bw", "pfs_link_bw"])
+def test_bandwidth_above_2_to_64_rejected(field):
+    # the engine counts time in units of 1/lcm(bandwidths) s; below 2**128
+    # units a second, every event time converts to a float
+    PlatformConfig(**{field: 2**64}).validate()
+    with pytest.raises(ConfigurationError, match=r"^bandwidths must be at most 2\*\*64 B/s$"):
+        PlatformConfig(**{field: 2**64 + 1}).validate()
+
+
+def test_largest_time_unit_runs_with_io_on(table1_jobs):
+    platform = build_platform(PlatformConfig(
+        n_compute_nodes=4, n_storage_nodes=1, bb_capacity_total=10 * 10**12,
+        compute_link_bw=2**64, pfs_link_bw=2**64 - 1,
+    ))
+    lines: list[dict] = []
+    sim = Simulation(platform, table1_jobs, "fcfs", SimConfig(io_model="on"), sink=lines.append)
+    assert sim.unit == 2**64 * (2**64 - 1)
+    records = sim.run()
+    walltimes = {j.id: j.walltime for j in table1_jobs}
+    assert [r.job_id for r in records] == sorted(walltimes)
+    assert all(r.start <= r.finish <= r.start + walltimes[r.job_id] for r in records)
+    assert all(math.isfinite(line["t"]) for line in lines)
 
 
 def test_auto_capacity_matches_model_mean():

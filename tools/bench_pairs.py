@@ -1,7 +1,7 @@
 """Alternating same-host pairs of benchmarks/run.py: a parent checkout against this tree.
 
     python3 tools/bench_pairs.py --parent DIR --pairs 10 --seconds 30 -o BENCH.json
-        [--workloads backfill-pressure,io-lifecycle,plan-anneal]
+        --change TEXT [--workloads backfill-pressure,io-lifecycle,plan-anneal]
 
 DIR is a checkout of the commit to compare against, for example made with
 ``mkdir DIR && git archive HEAD~1 | tar -x -C DIR``. The change is the tree
@@ -15,7 +15,10 @@ The JSON written holds, per workload, each side's failed and attempted jobs
 and the policies whose records differ from the checkout's reference hashes,
 and per end-to-end metric each side's median and quartiles (inclusive
 method), ``change_lower`` (the number of pairs in which the change's value is
-lower) and every run's value.
+lower) and every run's value. At the top level it holds TEXT, what the change
+does, as ``change``, and ``checks``: the runs made, their failed jobs summed
+over both sides, and every workload/policy whose records differed from the
+reference in any run.
 """
 
 from __future__ import annotations
@@ -79,6 +82,18 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     }
 
 
+def checks(summary: dict) -> dict:
+    """The runs, failed jobs and records that differ from the reference, over both sides."""
+    return {
+        "runs": sum(len(SIDES) * wl["pairs"] for wl in summary.values()),
+        "failed": sum(n for wl in summary.values() for n in wl["failed"].values()),
+        "records_differ_from_reference": sorted(
+            {f"{name}/{p}" for name, wl in summary.items()
+             for ps in wl["records_differ_from_reference"].values() for p in ps}
+        ),
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout to compare against")
@@ -87,6 +102,7 @@ def main(argv=None) -> int:
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
                     help="comma-separated workload names")
     ap.add_argument("-o", "--output", required=True, type=Path, help="JSON summary path")
+    ap.add_argument("--change", required=True, help="what the change does, stored as is")
     args = ap.parse_args(argv)
     workloads = args.workloads.split(",")
     unknown = sorted(set(workloads) - set(WORKLOADS))
@@ -108,6 +124,7 @@ def main(argv=None) -> int:
         summary[workload] = summarize(runs)
 
     report = {
+        "change": args.change,
         "command": f"python3 benchmarks/run.py --workload WORKLOAD --seed SEED "
                    f"--seconds {args.seconds:g}",
         "host": f"{platform.system()}, {os.cpu_count()} CPUs, Python "
@@ -120,6 +137,7 @@ def main(argv=None) -> int:
                    "quartiles (inclusive method); change_lower counts the pairs in which the "
                    "change's value is lower",
         "workloads": summary,
+        "checks": checks(summary),
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -6,8 +6,9 @@ of the three moves the job's burst-buffer request. The dump (compute to
 burst buffer) runs at the compute link rate without cross-job contention, so
 it is folded into its phase: one event ends both. All PFS-link transfers
 share bandwidth equally; a job's drains run one after another, so a new drain
-appends its bytes to the job's active one. The link keeps remaining bytes as
-ints over one common denominator in lowest terms, so completions are
+appends its bytes to the job's active one. The link counts the bytes served to
+each active transfer as one int over a scale that is reset when the link is
+idle, and each transfer ends at a mark on that count, so completions are
 byte-exact. Event times count units of 1/U s, U the lcm of the two link
 bandwidths under io_model "on" and 1 under "off", so only a link completion
 shared by transfers may be a Fraction; ticks, walltimes and phase ends with
@@ -18,7 +19,7 @@ policies' now, starts, head reservations, record finishes and trace "t".
 
 Jobs enter the queue only at a scheduler tick, which reads every job submitted
 by then; the heap holds one tick while jobs wait or remain unsubmitted. The
-link's next completion waits in one slot beside the heap, overwritten at each
+link's next completion time waits bare in one slot beside the heap, set at each
 change of the link. Phase and walltime events carry the job id alone, and no
 phase end past the walltime is pushed, so the only events that find their job
 ended are walltime events of jobs that finished first. A job that moves no
@@ -79,17 +80,19 @@ class FairShareLink:
 
     Transfers are keyed by the caller; the engine uses (job id, role) with
     role "in" (stage-in), "drain" (checkpoint drain) or "out" (stage-out).
-    The bandwidth is bytes per time unit, an int or a Fraction. Each
-    transfer's remaining bytes are ``active[key] / scale``: ints over one
-    common denominator, kept in lowest terms, so gcd(scale, *active.values())
-    is 1 and an idle link has scale 1. Times stay ints or Fractions, and a
-    completion at a whole time unit is an int.
+    The bandwidth is bytes per time unit, an int or a Fraction. Each active
+    transfer has been served ``served / scale`` bytes since the link was last
+    idle, and ends when served reaches its mark ``active[key]``, which bytes
+    appended to it raise. scale grows only when a share is not a whole number
+    of 1/scale bytes, and is 1 again, with served 0, once the link is idle.
+    Times stay ints or Fractions, and a completion at a whole unit is an int.
     """
 
     def __init__(self, bandwidth):
         self._bw_num, self._bw_den = bandwidth.numerator, bandwidth.denominator
-        self.active: dict = {}  # key -> remaining bytes times scale (int)
+        self.active: dict = {}  # key -> end mark: served bytes, times scale, at which it is done
         self.scale = 1
+        self.served = 0  # bytes each active transfer has received, times scale
         self.last = 0
 
     def advance(self, now) -> None:
@@ -101,52 +104,48 @@ class FairShareLink:
         self.last = now
         active = self.active
         if dt and active:
-            # each transfer is served bw * dt / (b * d * n) bytes: num / den in lowest terms
-            num, den = self._bw_num * dt, self._bw_den * b * d * len(active)
-            g = gcd(num, den)
-            num, den = num // g, den // g
-            scale = lcm(self.scale, den)
-            m, served = scale // self.scale, num * (scale // den)
-            for key in active:
-                active[key] = active[key] * m - served
-            self._rescale(scale)
-
-    def _rescale(self, scale: int) -> None:
-        """Set the common denominator to scale, then reduce to lowest terms."""
-        g = gcd(scale, *self.active.values())
-        if g > 1:
-            for key in self.active:
-                self.active[key] //= g
-        self.scale = scale // g
+            # each transfer is served bw * dt / (b * d * n) bytes, num / den over scale
+            num, den = self._bw_num * dt * self.scale, self._bw_den * b * d * len(active)
+            share, rem = divmod(num, den)
+            if rem:  # refine scale by the factor the share lacks
+                m = den // gcd(num, den)
+                self.scale, self.served = self.scale * m, self.served * m
+                for key in active:
+                    active[key] *= m
+                share = num * m // den
+            self.served += share
 
     def add(self, now, key, total: int) -> None:
         """Start a transfer, or append its bytes to key's active transfer."""
         self.advance(now)
-        # r + total * scale has the same gcd with scale as r: still lowest terms
-        self.active[key] = self.active.get(key, 0) + total * self.scale
+        self.active[key] = self.active.get(key, self.served) + total * self.scale
 
     def remove(self, now, key) -> None:
         self.advance(now)
         del self.active[key]
-        self._rescale(self.scale)
+        if not self.active:
+            self.scale, self.served = 1, 0
 
     def next_completion(self):
         if not self.active:
             return None
-        # last + min(active) * n / (scale * bw), as an int when whole, else one Fraction
+        # last + (min mark - served) * n / (scale * bw), as an int when whole, else one Fraction
         a, b = self.last.numerator, self.last.denominator
         bw = self.scale * self._bw_num  # over bw_den, in units of 1 / scale bytes
-        num = a * bw + min(self.active.values()) * len(self.active) * b * self._bw_den
+        left = min(self.active.values()) - self.served
+        num = a * bw + left * len(self.active) * b * self._bw_den
         at, rem = divmod(num, b * bw)
         return Fraction(num, b * bw) if rem else at
 
     def finished_ids(self, now) -> list:
         """Advance to now and pop every finished transfer, in start order."""
         self.advance(now)
-        finished = [key for key, rem in self.active.items() if rem <= 0]
-        for key in finished:  # popping zeros leaves the gcd, so scale stays in lowest terms
-            remaining = self.active.pop(key)
-            assert remaining == 0, "transfer completion must be byte-exact"
+        finished = [key for key, mark in self.active.items() if mark <= self.served]
+        for key in finished:
+            mark = self.active.pop(key)
+            assert mark == self.served, "transfer completion must be byte-exact"
+        if not self.active:
+            self.scale, self.served = 1, 0
         return finished
 
 
@@ -242,7 +241,7 @@ class Simulation:
         self._heap: list = []
         self._seq = 0  # events keyed so far: nonzero once the run has begun
         self.sink = sink
-        self._link_next: tuple | None = None  # key of the link's next completion
+        self._link_at = None  # the link's next completion time, None while it is idle
         self._unsubmitted = self.jobs[::-1]  # popped from the end, in submit order
         self._state = SchedulerState(self.queue, self.profile, 0)  # its now is set each tick
 
@@ -274,12 +273,12 @@ class Simulation:
     def run(self) -> list[JobRecord]:
         self._push_next_tick(0)
         validate = self.cfg.validate
-        while self._heap or self._link_next:
-            if self._link_next and (not self._heap or self._link_next < self._heap[0]):
-                key, self._link_next = self._link_next, None
+        heap = self._heap
+        while (now := self._link_at) is not None or heap:
+            if now is not None and (not heap or now <= heap[0][1]):
+                event, payload = TRANSFER_COMPLETE, None
             else:
-                key = heapq.heappop(self._heap)
-            _, now, event, _, payload = key
+                _, now, event, _, payload = heapq.heappop(heap)
             self._dispatch(now, event, payload)
             if validate:
                 self._check_invariants(now)
@@ -389,18 +388,14 @@ class Simulation:
         for key in live:
             self.link.remove(now, key)
         if live:
-            self._schedule_next_pfs_completion()
+            self._link_at = self.link.next_completion()
         self._finish(rj, now, killed=True)
 
     # -- transfers ---------------------------------------------------------------
 
     def _start_pfs_transfer(self, now, key: tuple[int, str], total: int) -> None:
         self.link.add(now, key, total)
-        self._schedule_next_pfs_completion()
-
-    def _schedule_next_pfs_completion(self) -> None:
-        at = self.link.next_completion()
-        self._link_next = None if at is None else self._key(at, TRANSFER_COMPLETE, None)
+        self._link_at = self.link.next_completion()
 
     def _on_pfs_completions(self, now) -> None:
         finished = self.link.finished_ids(now)
@@ -416,7 +411,7 @@ class Simulation:
                 and (job_id, "drain") not in self.link.active
             ):
                 self._finish(rj, now, killed=False)
-        self._schedule_next_pfs_completion()
+        self._link_at = self.link.next_completion()
 
     # -- invariants ----------------------------------------------------------------
 
@@ -425,6 +420,11 @@ class Simulation:
         for rj in self.running.values():
             held.add(rj.start, rj.start + rj.job.walltime, rj.job.n_procs, rj.job.bb_total)
         assert held == self.profile, "profile must hold exactly the running jobs"
+        link = self.link
+        assert all(job_id in self.running for job_id, _ in link.active), "transfer of an ended job"
+        assert all(mark >= link.served for mark in link.active.values()), "transfer overrun"
+        assert link.active or (link.scale, link.served) == (1, 0), "idle link not reset"
+        assert (self._link_at is None) == (not link.active), "link completion slot out of step"
         if (binding := self._binding) is not None:
             used_procs = sum(rj.job.n_procs for rj in self.running.values())
             used_bb = sum(rj.job.bb_total for rj in self.running.values())

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(spec)
@@ -21,8 +23,10 @@ def test_bench_pairs_writes_the_pair_summary(tmp_path):
         check=True, capture_output=True,
     )
     report = json.loads(out.read_text())
-    assert {"change", "command", "host", "method", "summary", "checks"} <= report.keys()
+    assert {"change", "complete", "command", "host", "method", "summary",
+            "checks"} <= report.keys()
     assert report["change"] == "nothing: the tree against itself"
+    assert report["complete"] is True
     assert report["checks"] == {"runs": 2, "failed": 0, "records_differ_from_reference": []}
     assert list(report["workloads"]) == ["io-lifecycle"]
     wl = report["workloads"]["io-lifecycle"]
@@ -55,3 +59,27 @@ def test_checks_sum_over_every_run_of_both_sides():
         "records_differ_from_reference": [
             "backfill-pressure/plan", "io-lifecycle/fcfs", "io-lifecycle/plan"],
     }
+
+
+def test_a_failing_run_keeps_the_pairs_already_done(tmp_path, monkeypatch):
+    calls = 0
+
+    def run_once(tree, workload, seed, seconds):  # the second pair's first run fails
+        nonlocal calls
+        calls += 1
+        if calls == 3:
+            raise RuntimeError("benchmarks/run.py exited 1")
+        return {"metrics": {"sim_s": {"unit": "s", "value": 0.1 * calls}},
+                "failed": 0, "attempted": 7, "records_differ_from_reference": []}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(["--parent", str(ROOT), "--pairs", "3", "--workloads", "io-lifecycle",
+                          "-o", str(out), "--change", "a change"])
+    report = json.loads(out.read_text())
+    assert report["complete"] is False
+    wl = report["workloads"]["io-lifecycle"]
+    assert wl["pairs"] == 1
+    assert wl["metrics"]["sim_s"]["runs"] == {"parent": [0.1], "change": [0.2]}
+    assert report["checks"] == {"runs": 2, "failed": 0, "records_differ_from_reference": []}

@@ -452,6 +452,11 @@ def test_link_time_cannot_move_backwards():
         link.advance(5)
 
 
+def remaining(link):
+    """Each active transfer's bytes still to move: its end mark less served, over scale."""
+    return {key: Fraction(mark - link.served, link.scale) for key, mark in link.active.items()}
+
+
 def test_link_add_on_active_key_appends_bytes():
     # 10 B/s shared by two: at t=4 each has moved 20 B, and a gets 50 B more
     link = FairShareLink(10)
@@ -459,7 +464,8 @@ def test_link_add_on_active_key_appends_bytes():
     link.add(0, "b", 100)
     link.add(4, "a", 50)
     assert link.scale == 1
-    assert link.active == {"a": 130, "b": 80}
+    assert remaining(link) == {"a": 130, "b": 80}
+    assert list(link.active) == ["a", "b"]  # a keeps its place in start order
     assert link.next_completion() == 20
     assert link.finished_ids(20) == ["b"]
     assert link.next_completion() == 20 + Fraction(50, 10)
@@ -473,7 +479,7 @@ def test_link_add_on_active_key_appends_bytes():
 )
 @settings(max_examples=300, deadline=None)
 def test_link_matches_a_fraction_model(bw, ops):
-    """Remaining bytes as ints over scale agree with plain Fractions stepped alike.
+    """Remaining bytes, end marks less served over scale, agree with plain Fractions.
 
     Each op moves time a fraction of the way to the next completion (or on
     by up to its size while the link is idle), so no transfer is overrun.
@@ -510,6 +516,27 @@ def test_link_matches_a_fraction_model(bw, ops):
             link.remove(now, key)
             model_advance(now)
             del model[key]
-        assert all(type(v) is int for v in link.active.values())
-        assert {k: Fraction(v, link.scale) for k, v in link.active.items()} == model
-        assert math.gcd(link.scale, *link.active.values()) == 1
+        assert all(type(v) is int for v in (link.scale, link.served, *link.active.values()))
+        assert remaining(link) == model
+        assert link.active or (link.scale, link.served) == (1, 0)  # an idle link starts afresh
+
+
+@pytest.mark.parametrize("empty", ["finished_ids", "remove"])
+def test_emptied_link_is_back_to_scale_one(empty):
+    # 7 B/s shared by three from t=0: 3 B each by t=9/7, a share that refines scale
+    link = FairShareLink(7)
+    for key, size in (("a", 3), ("b", 5), ("c", 5)):
+        link.add(0, key, size)
+    assert link.finished_ids(Fraction(9, 7)) == ["a"]
+    link.advance(Fraction(10, 7))  # 1/2 B more each: scale 2
+    assert (link.scale, link.served) == (2, 7)
+    assert link.next_completion() == Fraction(13, 7)  # 3/2 B left each, at 7/2 B/s
+    if empty == "remove":
+        link.remove(Fraction(12, 7), "b")
+        link.remove(Fraction(12, 7), "c")
+    else:
+        assert link.finished_ids(link.next_completion()) == ["b", "c"]
+    assert not link.active
+    assert (link.scale, link.served) == (1, 0)
+    link.add(3, "d", 14)
+    assert link.next_completion() == 5

@@ -22,6 +22,7 @@ Event times count whole units of 1/lcm(link bandwidths) s, so the only
 times that are not ints are link completions shared by transfers; their
 count per io-lifecycle run is pinned, so that a Fraction slipping back into
 the ticks, phase ends or lone transfers fails here without a timing bound.
+So is the largest common denominator of the link's served bytes.
 
 Which nodes a job holds is bound only for the trace: a run without a sink
 calls neither allocate_nodes nor allocate_bb, and a run with one calls each
@@ -133,7 +134,8 @@ def test_heap_pushes(policy, monkeypatch):
     assert pushed == PUSHED[policy]
 
 
-# keyed event times per io-lifecycle run that are not ints; io off has none
+# event times per io-lifecycle run that are not ints: keyed times and the
+# link's completions, which wait in their own slot; io off has none
 NON_INT_TIMES = {
     "fcfs": 614, "filler": 231, "fcfs-easy": 211,
     "fcfs-bb": 335, "sjf-bb": 449, "plan": 10,
@@ -143,16 +145,53 @@ NON_INT_TIMES = {
 @pytest.mark.parametrize("policy", bench.POLICIES)
 def test_non_integer_event_times(policy, monkeypatch):
     non_int = 0
-    key = Simulation._key
+    key, next_completion = Simulation._key, engine.FairShareLink.next_completion
 
     def counting_key(self, time, *args):
         nonlocal non_int
         non_int += type(time) is not int
         return key(self, time, *args)
 
+    def counting_next_completion(self):
+        nonlocal non_int
+        at = next_completion(self)
+        non_int += at is not None and type(at) is not int
+        return at
+
     monkeypatch.setattr(Simulation, "_key", counting_key)
+    monkeypatch.setattr(engine.FairShareLink, "next_completion", counting_next_completion)
     run("io-lifecycle", policy)
     assert non_int == NON_INT_TIMES[policy]
+
+
+# the link's largest scale.bit_length() per io-lifecycle run; in brackets that
+# of the lowest-terms denominator, which a link reducing by a gcd at each
+# advance would reach. scale only grows while transfers are active and is back
+# to 1 when the link is idle, so a lost idle reset moves these without a
+# timing bound
+LINK_SCALE_BITS = {
+    "fcfs": 17,  # (16)
+    "filler": 8,  # (8)
+    "fcfs-easy": 10,  # (10)
+    "fcfs-bb": 13,  # (13)
+    "sjf-bb": 14,  # (12)
+    "plan": 3,  # (3)
+}
+
+
+@pytest.mark.parametrize("policy", bench.POLICIES)
+def test_link_scale_stays_small(policy, monkeypatch):
+    peak = 0
+    advance = engine.FairShareLink.advance
+
+    def recording_advance(self, now):
+        nonlocal peak
+        advance(self, now)
+        peak = max(peak, self.scale.bit_length())
+
+    monkeypatch.setattr(engine.FairShareLink, "advance", recording_advance)
+    run("io-lifecycle", policy)
+    assert peak == LINK_SCALE_BITS[policy]
 
 
 # AvailabilityProfile.has_capacity calls per run; plan asks earliest_slot only

@@ -15,6 +15,7 @@ from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import synthetic_workload
 
 PLATFORM = build_platform(PlatformConfig())
+UNBOUNDED_BB = build_platform(PlatformConfig(bb_capacity_total=10**18))
 
 
 @pytest.fixture(scope="module")
@@ -26,8 +27,8 @@ def pressure300():
     return [replace(j, bb_per_proc=min(j.bb_per_proc, cap // j.n_procs)) for j in jobs]
 
 
-def outcomes(jobs, policy, io_model):
-    records = Simulation(PLATFORM, jobs, policy, SimConfig(io_model=io_model)).run()
+def outcomes(jobs, policy, io_model, platform=PLATFORM):
+    records = Simulation(platform, jobs, policy, SimConfig(io_model=io_model)).run()
     return {r.job_id: (r.start, r.finish, r.killed) for r in records}
 
 
@@ -49,3 +50,12 @@ def test_with_equal_walltimes_sjf_bb_equals_fcfs_bb(pressure300, io_model):
     longest = max(j.walltime for j in pressure300)
     equal = [replace(j, walltime=longest) for j in pressure300]
     assert outcomes(equal, "sjf-bb", io_model) == outcomes(equal, "fcfs-bb", io_model)
+
+
+@pytest.mark.parametrize("io_model", ["off", "on"])
+def test_with_unbounded_buffer_fcfs_bb_equals_fcfs_easy(pressure300, io_model):
+    """With far more buffer than the jobs ever hold together, fcfs-bb's buffer hold never binds."""
+    assert outcomes(pressure300, "fcfs-easy", io_model) != outcomes(
+        pressure300, "fcfs-bb", io_model)
+    assert outcomes(pressure300, "fcfs-easy", io_model, UNBOUNDED_BB) == outcomes(
+        pressure300, "fcfs-bb", io_model, UNBOUNDED_BB)

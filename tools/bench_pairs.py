@@ -18,7 +18,9 @@ method), ``change_lower`` (the number of pairs in which the change's value is
 lower) and every run's value. At the top level it holds TEXT, what the change
 does, as ``change``, and ``checks``: the runs made, their failed jobs summed
 over both sides, and every workload/policy whose records differed from the
-reference in any run.
+reference in any run. The file is rewritten after every pair, with
+``"complete": false`` until the last pair has run, so a run that stops early
+keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -120,11 +122,18 @@ def main(argv=None) -> int:
         for k in range(1, args.pairs + 1):
             for side in SIDES if k % 2 else reversed(SIDES):
                 runs[side].append(run_once(trees[side], workload, k, args.seconds))
+            summary[workload] = summarize(runs)
+            complete = workload == workloads[-1] and k == args.pairs
+            args.output.write_text(json.dumps(report(args, summary, complete), indent=1) + "\n")
             print(f"{workload}: pair {k} of {args.pairs} done", file=sys.stderr)
-        summary[workload] = summarize(runs)
+    return 0
 
-    report = {
+
+def report(args, summary: dict, complete: bool) -> dict:
+    """The JSON report of the pairs summarized so far; complete once every pair has run."""
+    return {
         "change": args.change,
+        "complete": complete,
         "command": f"python3 benchmarks/run.py --workload WORKLOAD --seed SEED "
                    f"--seconds {args.seconds:g}",
         "host": f"{platform.system()}, {os.cpu_count()} CPUs, Python "
@@ -139,8 +148,6 @@ def main(argv=None) -> int:
         "workloads": summary,
         "checks": checks(summary),
     }
-    args.output.write_text(json.dumps(report, indent=1) + "\n")
-    return 0
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ import os
 import sys
 
 from . import __version__
-from .availability import InfeasibleError
-from .engine import SimConfig, Simulation
+from .availability import AllocationError, InfeasibleError
+from .engine import NodeBinding, SimConfig, Simulation
 from .metrics import (
     DEFAULT_TAIL_K,
     LETTER_VALUE_LEVELS,
@@ -57,16 +57,22 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _lines(path: str):
+    """path's lines as text; one that is not UTF-8 is an InputError naming path and line."""
+    with open(path, "rb") as f:
+        for line_no, line in enumerate(f, start=1):
+            try:
+                yield line.decode()
+            except UnicodeDecodeError as exc:
+                raise InputError(f"{path}: line {line_no}: {exc}") from exc
+
+
 # -- convert -------------------------------------------------------------------
 
 
 def cmd_convert(args) -> int:
     model = LogNormalModel(mu=args.mu, sigma=args.sigma)
-    try:
-        with open(args.swf) as f:
-            result = parse_swf(f)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    result = parse_swf(_lines(args.swf))
     jobs = synthesize_bb(result.jobs, model, args.seed)
     jobs = assign_phases(jobs, args.seed)
     with open(args.output, "w") as f:
@@ -133,8 +139,7 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None,
                     manifest_path: str | None = None) -> None:
     """Run config's simulation; write its records, and a manifest if a path is given."""
     platform = build_platform(_platform_from_config(config["platform"]))
-    with open(config["workload"]) as f:
-        jobs, _ = read_workload(f)
+    jobs, _ = read_workload(_lines(config["workload"]))
     sim_cfg = SimConfig(
         tick_period_s=config["tick_period_s"],
         io_model=config["io_model"],
@@ -157,8 +162,10 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None,
             None if path is None else outputs.enter_context(open(path, "w"))
             for path in (trace_path, records_path, manifest_path)
         )
-        if trace is not None:
+        if trace is not None:  # its first line is the platform, which gantt binds jobs on
             sim.sink = lambda entry: trace.write(json.dumps(entry) + "\n")
+            sim.sink({"event": "platform", "compute_nodes": list(platform.compute_nodes),
+                      "bb_capacity_per_node": platform.bb_capacity_per_node})
         write_records(records_file, sim.run())
         if manifest_file is not None:
             manifest = {"tool": "bbsim", "version": __version__, "command": "simulate",
@@ -229,8 +236,7 @@ def cmd_analyze(args) -> int:
         raise InputError(f"--tail must be non-negative, got {args.tail}")
     records: list[JobRecord] = []
     for path in args.records:
-        with open(path) as f:
-            records.extend(read_records(f))
+        records.extend(read_records(_lines(path)))
     if not records:
         raise InputError("no records found")
     policies = sorted({r.policy for r in records})
@@ -294,64 +300,63 @@ def cmd_analyze(args) -> int:
 # -- gantt ---------------------------------------------------------------------
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
 def cmd_gantt(args) -> int:
     if args.first is not None and args.first < 1:
         raise InputError(f"--first must be at least 1, got {args.first}")
-    launches: dict[int, dict] = {}
+    binding = None  # the platform line's; launches take from it and ends give back, in file order
+    launches: dict[int, tuple] = {}  # job -> (start, job, nodes, shares)
     ends: dict[int, float] = {}
-    try:
-        with open(args.trace) as f:
-            for line_no, line in enumerate(f, start=1):
-                try:
-                    entry = json.loads(line)
-                    event = entry["event"]
-                    if event in ("launch", "finish", "kill"):
-                        job, t = entry["job"], entry["t"]
-                        if type(job) is not int:
-                            raise TypeError("'job' must be an int")
-                        if not (type(t) is int or type(t) is float and math.isfinite(t)):
-                            raise TypeError("'t' must be a finite number")
-                        if event == "launch":
-                            nodes = entry.get("nodes", [])
-                            if not (isinstance(nodes, list) and all(type(n) is int for n in nodes)):
-                                raise TypeError("'nodes' must be a list of ints")
-                            shares = entry.get("bb_shares", {})
-                            if not isinstance(shares, dict):
-                                raise TypeError("'bb_shares' must be an object")
-                            entry["bb_shares"] = {int(k): v for k, v in shares.items()}
-                            if not all(type(v) is int and v >= 0 for v in shares.values()):
-                                raise TypeError("'bb_shares' values must be ints >= 0")
-                            if job in launches:
-                                raise ValueError(f"job {job} is launched twice")
-                            launches[job] = entry
-                        elif job not in launches:
-                            raise ValueError(f"job {job} ends before it is launched")
-                        elif job in ends:
-                            raise ValueError(f"job {job} has already ended")
-                        else:
-                            ends[job] = t
-                # RecursionError: JSON nested too deep to parse
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise InputError(
-                        f"{args.trace}: line {line_no} is not a trace event "
-                        f"({type(exc).__name__}: {exc})"
-                    ) from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
-    for entry in launches.values():
-        if "nodes" not in entry:
+    for line_no, line in enumerate(_lines(args.trace), start=1):
+        try:
+            entry = json.loads(line)
+            event = entry["event"]
+            if (event == "platform") != (line_no == 1):
+                raise ValueError("the first line, and only it, is the platform line")
+            if event == "platform":
+                nodes, pools = entry["compute_nodes"], entry["bb_capacity_per_node"]
+                if not (isinstance(nodes, list) and all(map(_is_count, nodes))):
+                    raise TypeError("'compute_nodes' must be a list of ints >= 0")
+                if not isinstance(pools, dict):
+                    raise TypeError("'bb_capacity_per_node' must be an object")
+                pools = {int(k): v for k, v in pools.items()}
+                if not all(map(_is_count, [*pools, *pools.values()])):
+                    raise TypeError("'bb_capacity_per_node' must map ints >= 0 to ints >= 0")
+                binding = NodeBinding(nodes, pools)
+            elif event in ("launch", "finish", "kill"):
+                job, t = entry["job"], entry["t"]
+                if type(job) is not int:
+                    raise TypeError("'job' must be an int")
+                if not (type(t) is int or type(t) is float and math.isfinite(t)):
+                    raise TypeError("'t' must be a finite number")
+                if event == "launch":
+                    n_procs, bb_total = entry["n_procs"], entry["bb_total"]
+                    if not (_is_count(n_procs) and _is_count(bb_total)):
+                        raise TypeError("'n_procs' and 'bb_total' must be ints >= 0")
+                    if job in launches:
+                        raise ValueError(f"job {job} is launched twice")
+                    launches[job] = (t, job, *binding.take(job, n_procs, bb_total))
+                elif job not in launches:
+                    raise ValueError(f"job {job} ends before it is launched")
+                elif job in ends:
+                    raise ValueError(f"job {job} has already ended")
+                else:
+                    ends[job] = t
+                    binding.release(job)
+        # RecursionError: JSON nested too deep to parse; AllocationError: more than is free
+        except (ValueError, KeyError, TypeError, RecursionError, AllocationError) as exc:
             raise InputError(
-                "trace has no node bindings; re-run simulate with --trace"
-            )
+                f"{args.trace}: line {line_no} is not a trace event "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
     rows = []
-    ordered = sorted(launches.values(), key=lambda e: (e["t"], e["job"]))
-    for entry in ordered[: args.first]:
-        job = entry["job"]
+    for start, job, nodes, shares in sorted(launches.values(), key=lambda e: e[:2])[: args.first]:
         finish = ends.get(job, math.nan)
-        for node in entry["nodes"]:
-            rows.append((job, node, entry["t"], finish, 0))
-        for node, share in sorted(entry["bb_shares"].items()):
-            rows.append((job, node, entry["t"], finish, share))
+        rows += [(job, node, start, finish, 0) for node in nodes]
+        rows += [(job, node, start, finish, share) for node, share in sorted(shares.items())]
     with open(args.output, "w") as f:
         f.write("job_id,node_id,start,finish,bb_bytes\n")
         for row in rows:

@@ -26,7 +26,6 @@ ended are walltime events of jobs that finished first. A job that moves no
 bytes gets no walltime event: it ends within it. An optional sink gets each
 trace line's dict as it happens, with the time "t" of its event; a submit line
 has its tick's time, and the job's own in "submit", so lines run in time order.
-Only then are a job's nodes and storage pools bound, for its launch line.
 """
 
 from __future__ import annotations
@@ -150,19 +149,24 @@ class FairShareLink:
 
 
 class NodeBinding:
-    """The nodes and storage-pool bytes each running job holds; no record reads them."""
+    """The nodes and storage-pool bytes each running job holds; no record reads them.
 
-    def __init__(self, platform: Platform):
-        self.free_nodes = set(platform.compute_nodes)
-        self.free_bb = Counter(platform.bb_capacity_per_node)
+    No run binds: gantt replays a trace's launch, finish and kill lines in file
+    order. It lives here, where benchmarks/tracing.py times allocate_nodes and
+    allocate_bb by their engine names.
+    """
+
+    def __init__(self, compute_nodes, bb_capacity: dict[int, int]):
+        self.free_nodes = set(compute_nodes)
+        self.free_bb = Counter(bb_capacity)
         self.held: dict[int, tuple[list[int], dict[int, int]]] = {}  # job id -> take's result
 
-    def take(self, job: JobSpec) -> tuple[list[int], dict[int, int]]:
-        nodes = allocate_nodes(self.free_nodes, job.n_procs)
-        shares = {n: s for n, s in allocate_bb(self.free_bb, job.bb_total).items() if s}
+    def take(self, job_id: int, n_procs: int, bb_total: int) -> tuple[list[int], dict[int, int]]:
+        nodes = allocate_nodes(self.free_nodes, n_procs)
+        shares = {n: s for n, s in allocate_bb(self.free_bb, bb_total).items() if s}
         self.free_nodes.difference_update(nodes)
         self.free_bb.subtract(shares)
-        self.held[job.id] = nodes, shares
+        self.held[job_id] = nodes, shares
         return nodes, shares
 
     def release(self, job_id: int) -> None:
@@ -172,7 +176,7 @@ class NodeBinding:
 
 
 @dataclass(slots=True)
-class RunningJob:  # its nodes, if bound, are in the NodeBinding
+class RunningJob:
     job: JobSpec
     io_bytes: int  # bytes of the stage-in, each checkpoint and the stage-out; 0 with io off
     phases: tuple  # phase durations in time units, each but the last with its checkpoint dump
@@ -192,7 +196,7 @@ class Simulation:
     S, jobs run for at most W s in all, and an idle machine with jobs waiting
     starts one at the next tick, at most P s on, at most n times. A plan or a
     head reservation made at time t starts every job by t + W, after all the
-    walltimes placed before it. A sink set once the run has begun raises.
+    walltimes placed before it.
     """
 
     def __init__(
@@ -239,18 +243,11 @@ class Simulation:
         self.head_reservations: list[tuple[int, object]] = []  # (tick time, HeadReservation)
         self.plan_stats: list[SearchStats] = []
         self._heap: list = []
-        self._seq = 0  # events keyed so far: nonzero once the run has begun
-        self.sink = sink
+        self._seq = 0  # events keyed so far
+        self.sink = sink  # called with each trace line's dict, or None
         self._link_at = None  # the link's next completion time, None while it is idle
         self._unsubmitted = self.jobs[::-1]  # popped from the end, in submit order
         self._state = SchedulerState(self.queue, self.profile, 0)  # its now is set each tick
-
-    sink = property(lambda self: self._sink, doc="Called with each trace line's dict, or None.")
-    @sink.setter
-    def sink(self, sink) -> None:
-        if self._seq:  # a binding made now would miss the jobs already running
-            raise RuntimeError("the sink must be set before run(), not once it has begun")
-        self._sink, self._binding = sink, None if sink is None else NodeBinding(self.platform)
 
     # -- event machinery -----------------------------------------------------
 
@@ -303,9 +300,9 @@ class Simulation:
         while pending and pending[-1].submit_time <= now:
             job = pending.pop()
             self.queue[job.id] = job
-            if self._sink is not None:
-                self._sink({"t": float(now), "event": "submit", "job": job.id,
-                           "submit": float(job.submit_time)})
+            if self.sink is not None:
+                self.sink({"t": float(now), "event": "submit", "job": job.id,
+                          "submit": float(job.submit_time)})
         state = self._state
         state.now = now
         if self.policy_name == "plan":
@@ -331,10 +328,9 @@ class Simulation:
         t = now * unit
         rj = RunningJob(job, io_bytes, phases, now, t + job.walltime * unit)
         self.running[job.id] = rj
-        if self._sink is not None:
-            nodes, shares = self._binding.take(job)
-            self._sink({"t": float(now), "event": "launch", "job": job.id,
-                        "nodes": nodes, "bb_shares": shares})
+        if self.sink is not None:
+            self.sink({"t": float(now), "event": "launch", "job": job.id,
+                       "n_procs": job.n_procs, "bb_total": job.bb_total})
         if io_bytes:  # else the job ends at start + runtime, within its walltime
             self._push(rj.end_by, WALLTIME_EXPIRED, job.id)
             self._start_pfs_transfer(t, (job.id, "in"), io_bytes)
@@ -379,9 +375,8 @@ class Simulation:
                 policy=self.policy_name,
             )
         )
-        if self._sink is not None:
-            self._binding.release(job.id)
-            self._sink({"t": float(finish), "event": "kill" if killed else "finish", "job": job.id})
+        if self.sink is not None:
+            self.sink({"t": float(finish), "event": "kill" if killed else "finish", "job": job.id})
 
     def _kill(self, rj: RunningJob, now) -> None:
         live = [key for key in self.link.active if key[0] == rj.job.id]
@@ -425,12 +420,3 @@ class Simulation:
         assert all(mark >= link.served for mark in link.active.values()), "transfer overrun"
         assert link.active or (link.scale, link.served) == (1, 0), "idle link not reset"
         assert (self._link_at is None) == (not link.active), "link completion slot out of step"
-        if (binding := self._binding) is not None:
-            used_procs = sum(rj.job.n_procs for rj in self.running.values())
-            used_bb = sum(rj.job.bb_total for rj in self.running.values())
-            # free counts are never negative, so these also rule out over-allocation
-            assert len(binding.free_nodes) == self.platform.n_procs - used_procs
-            assert sum(binding.free_bb.values()) == self.platform.total_bb - used_bb
-            for node, free in binding.free_bb.items():
-                cap = self.platform.bb_capacity_per_node[node]
-                assert 0 <= free <= cap, f"storage node {node} share out of range"

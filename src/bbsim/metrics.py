@@ -6,7 +6,7 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .policies import POLICY_NAMES
 
@@ -129,8 +129,8 @@ def write_records(stream: TextIO, records: Iterable[JobRecord]) -> None:
         )
 
 
-def read_records(stream: TextIO) -> list[JobRecord]:
-    first = stream.readline().strip()
+def read_records(stream: Iterator[str]) -> list[JobRecord]:
+    first = next(stream, "").strip()
     if first != RECORDS_HEADER:
         raise ValueError(f"not a bbsim records file (header {first!r})")
     reader = csv.DictReader(stream)

@@ -6,7 +6,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -163,8 +163,8 @@ def write_workload(stream: TextIO, jobs: Iterable[JobSpec], meta: dict | None = 
         stream.write(json.dumps({f: getattr(job, f) for f in _JOB_FIELDS}) + "\n")
 
 
-def read_workload(stream: TextIO) -> tuple[list[JobSpec], dict]:
-    header_line = stream.readline()
+def read_workload(stream: Iterator[str]) -> tuple[list[JobSpec], dict]:
+    header_line = next(stream, "")
     if not header_line.strip():
         raise ValueError("empty workload file")
     try:

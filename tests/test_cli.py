@@ -654,45 +654,89 @@ def test_analyze_missing_columns_is_input_error(tmp_path, capsys):
     assert "finish, n_procs, bb_total, killed, policy" in err
 
 
+# a platform of four compute nodes and one 100-byte storage pool
+PLATFORM = '{"event": "platform", "compute_nodes": [0, 1, 2, 3], "bb_capacity_per_node": {"4": 100}}'
+
+
 @pytest.mark.parametrize("line", [
     '{"t": 0}', "[1, 2]", '{"event": "finish", "job": 1}',
-    '{"t": 0.0, "event": "launch", "job": 1, "nodes": 5}',
-    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": [1]}',
-    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"a": 1}}',
-    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0, "1"], "bb_shares": {}}',
-    '{"t": "x", "event": "launch", "job": 1, "nodes": [0], "bb_shares": {}}',
+    PLATFORM,  # a second platform line
+    # a launch line as traces before the platform line wrote it, with no n_procs
+    '{"t": 0.0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {}}',
+    '{"t": "x", "event": "launch", "job": 1, "n_procs": 1, "bb_total": 0}',
     '{"t": true, "event": "finish", "job": 1}',
     '{"t": NaN, "event": "kill", "job": 1}',
     '{"t": 0, "event": "finish", "job": "1"}',
     '{"t": 0, "event": "kill", "job": 1.0}',
-    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": "big"}}',
-    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": -1}}',
-    '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {"3": 1.5}}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": -1, "bb_total": 0}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1.0, "bb_total": 0}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": true, "bb_total": 0}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1, "bb_total": "big"}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1, "bb_total": -1}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1, "bb_total": 1.5}',
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 5, "bb_total": 0}',  # 4 nodes
+    '{"t": 0, "event": "launch", "job": 1, "n_procs": 1, "bb_total": 101}',  # 100 B
 ])
 def test_gantt_malformed_line_is_input_error(tmp_path, capsys, line):
     trace = tmp_path / "trace.jsonl"
-    trace.write_text('{"t": 0.0, "event": "submit", "job": 1}\n' + line + "\n")
-    assert main(["gantt", str(trace), "-o", str(tmp_path / "gantt.csv")]) == 1
+    trace.write_text(PLATFORM + "\n" + line + "\n")
+    out = tmp_path / "gantt.csv"
+    assert main(["gantt", str(trace), "-o", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {trace}: line 2 is not a trace event") and err.count("\n") == 1
+    assert not out.exists()
 
 
-LAUNCH_1 = '{"t": 0, "event": "launch", "job": 1, "nodes": [0], "bb_shares": {}}'
+LAUNCH_1 = '{"t": 0, "event": "launch", "job": 1, "n_procs": 1, "bb_total": 0}'
 FINISH_1 = '{"t": 9, "event": "finish", "job": 1}'
+SUBMIT_1 = '{"t": 0, "event": "submit", "job": 1}'
+FIRST_LINE = "the first line, and only it, is the platform line"
 
 
 @pytest.mark.parametrize("lines, message", [
-    ([LAUNCH_1, LAUNCH_1.replace("[0]", "[1]")], "job 1 is launched twice"),
-    ([LAUNCH_1, '{"t": 9, "event": "finish", "job": 7}'], "job 7 ends before it is launched"),
-    (['{"t": 0, "event": "submit", "job": 1}', '{"t": 0, "event": "kill", "job": 1}'],
+    ([PLATFORM, LAUNCH_1, LAUNCH_1.replace('"n_procs": 1', '"n_procs": 2')],
+     "job 1 is launched twice"),
+    ([PLATFORM, LAUNCH_1, '{"t": 9, "event": "finish", "job": 7}'],
+     "job 7 ends before it is launched"),
+    ([PLATFORM, SUBMIT_1, '{"t": 0, "event": "kill", "job": 1}'],
      "job 1 ends before it is launched"),
-    ([LAUNCH_1, FINISH_1, FINISH_1], "job 1 has already ended"),
-    ([LAUNCH_1, FINISH_1, '{"t": 9, "event": "kill", "job": 1}'], "job 1 has already ended"),
-    ([LAUNCH_1, FINISH_1, LAUNCH_1], "job 1 is launched twice"),
-    ([LAUNCH_1, DEEP_JSON], "RecursionError: maximum recursion depth exceeded"),
+    ([PLATFORM, LAUNCH_1, FINISH_1, FINISH_1], "job 1 has already ended"),
+    ([PLATFORM, LAUNCH_1, FINISH_1, '{"t": 9, "event": "kill", "job": 1}'],
+     "job 1 has already ended"),
+    ([PLATFORM, LAUNCH_1, FINISH_1, LAUNCH_1], "job 1 is launched twice"),
+    ([PLATFORM, LAUNCH_1, DEEP_JSON], "RecursionError: maximum recursion depth exceeded"),
+    ([SUBMIT_1], FIRST_LINE),
+    ([LAUNCH_1], FIRST_LINE),
+    ([PLATFORM, SUBMIT_1, PLATFORM], FIRST_LINE),
+    (['{"event": "platform", "compute_nodes": 4, "bb_capacity_per_node": {}}'],
+     "'compute_nodes' must be a list of ints >= 0"),
+    (['{"event": "platform", "compute_nodes": [0, "1"], "bb_capacity_per_node": {}}'],
+     "'compute_nodes' must be a list of ints >= 0"),
+    (['{"event": "platform", "compute_nodes": [-1], "bb_capacity_per_node": {}}'],
+     "'compute_nodes' must be a list of ints >= 0"),
+    (['{"event": "platform", "compute_nodes": [0], "bb_capacity_per_node": [100]}'],
+     "'bb_capacity_per_node' must be an object"),
+    (['{"event": "platform", "compute_nodes": [0], "bb_capacity_per_node": {"a": 100}}'],
+     "ValueError: invalid literal for int()"),
+    (['{"event": "platform", "compute_nodes": [0], "bb_capacity_per_node": {"-4": 100}}'],
+     "'bb_capacity_per_node' must map ints >= 0 to ints >= 0"),
+    (['{"event": "platform", "compute_nodes": [0], "bb_capacity_per_node": {"4": -1}}'],
+     "'bb_capacity_per_node' must map ints >= 0 to ints >= 0"),
+    (['{"event": "platform", "compute_nodes": [0], "bb_capacity_per_node": {"4": 1e3}}'],
+     "'bb_capacity_per_node' must map ints >= 0 to ints >= 0"),
+    (['{"event": "platform", "bb_capacity_per_node": {}}'], "KeyError: 'compute_nodes'"),
+    # more than is free, though not more than the platform holds
+    ([PLATFORM, LAUNCH_1.replace('"n_procs": 1', '"n_procs": 4'),
+      '{"t": 0, "event": "launch", "job": 2, "n_procs": 1, "bb_total": 0}'],
+     "AllocationError: need 1 nodes, only 0 free"),
+    ([PLATFORM, LAUNCH_1.replace('"bb_total": 0', '"bb_total": 60'),
+      '{"t": 0, "event": "launch", "job": 2, "n_procs": 1, "bb_total": 41}'],
+     "AllocationError: request 41 exceeds aggregate free capacity 40"),
 ])
 def test_gantt_line_outside_a_jobs_life_is_input_error(tmp_path, capsys, lines, message):
-    """Each job launches once and ends once after that, as a run writes it."""
+    """A trace is its platform line, then each job launched once and ended once
+    after that, on nodes and pool bytes that are free, as a run writes it."""
     trace = tmp_path / "trace.jsonl"
     trace.write_text("\n".join(lines) + "\n")
     out = tmp_path / "gantt.csv"
@@ -701,6 +745,27 @@ def test_gantt_line_outside_a_jobs_life_is_input_error(tmp_path, capsys, lines, 
     assert err.startswith(f"error: {trace}: line {len(lines)} is not a trace event (")
     assert err.count("\n") == 1 and message in err
     assert not out.exists()
+
+
+def test_gantt_rebinds_what_a_job_releases(tmp_path):
+    """Each launch takes the lowest free nodes and the fullest pools' bytes;
+    a finish or kill gives them back for the next launch."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text("\n".join([
+        '{"event": "platform", "compute_nodes": [0, 1, 3], '
+        '"bb_capacity_per_node": {"2": 100, "4": 50}}',
+        '{"t": 0, "event": "launch", "job": 1, "n_procs": 2, "bb_total": 120}',
+        '{"t": 5, "event": "launch", "job": 2, "n_procs": 1, "bb_total": 30}',
+        '{"t": 8, "event": "kill", "job": 1}',
+        '{"t": 9, "event": "launch", "job": 3, "n_procs": 2, "bb_total": 0}',
+    ]) + "\n")
+    out = tmp_path / "gantt.csv"
+    assert main(["gantt", str(trace), "-o", str(out)]) == 0
+    assert out.read_text().splitlines()[1:] == [
+        "1,0,0,8,0", "1,1,0,8,0", "1,2,0,8,85", "1,4,0,8,35",
+        "2,3,5,nan,0", "2,2,5,nan,15", "2,4,5,nan,15",
+        "3,0,9,nan,0", "3,1,9,nan,0",
+    ]
 
 
 def test_gantt_rows_per_node(tmp_path, table1_config):
@@ -750,6 +815,30 @@ def test_gantt_empty_trace(tmp_path):
     out = tmp_path / "gantt.csv"
     assert main(["gantt", str(trace), "-o", str(out)]) == 0
     assert out.read_text() == "job_id,node_id,start,finish,bb_bytes\n"
+
+
+@pytest.mark.parametrize("command, first_line", [
+    ("gantt", PLATFORM),
+    ("analyze", "# bbsim-records v1"),
+    ("convert", "; an SWF comment"),
+    ("simulate", '{"format": "bbsim-workload", "version": 1}'),
+])
+def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, command, first_line):
+    path = tmp_path / "input"
+    path.write_bytes(first_line.encode() + b"\n\xff\xfe{}\n")
+    out = tmp_path / "out"
+    argv = {
+        "gantt": ["gantt", str(path), "-o", str(out)],
+        "analyze": ["analyze", str(path), "-o", str(out)],
+        "convert": ["convert", str(path), "-o", str(out)],
+        "simulate": ["simulate", "--workload", str(path), "-o", str(out),
+                     "--manifest", str(tmp_path / "m.json")],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: line 2: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
+    assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -1,9 +1,8 @@
 """The trace of every benchmark run reaches its sink in time order.
 
 A submit line carries the time of the tick that queues the job, and the job's
-own submit time in "submit". Apart from that, the lines are the ones the engine
-wrote when submit lines carried the submit time as "t", in the same order:
-each run's lines, mapped back to that form, hash to the pins below.
+own submit time in "submit"; a launch line carries the job's n_procs and
+bb_total. Each run's lines hash to the pins below.
 """
 
 import hashlib
@@ -13,36 +12,27 @@ import pytest
 
 from test_reference_records import bench, inputs
 
-# sha256 of each run's JSON lines, with each submit line's "t" set to its
-# "submit" and that field dropped
+# sha256 of each run's JSON lines
 LINES_SHA256 = {
     "backfill-pressure": {
-        "fcfs": "eca6a51897338250b6b9bbde858ebc8fdab29e52f97a2d58842d72524909604a",
-        "filler": "c19853e5260ab39aafdbd939a28d71ede0dccd84dc16d69a87b97e0f58340bf5",
-        "fcfs-easy": "98ca32fdafc79104a447910b343ef3f314536baa2f86bae832a89d58053d3901",
-        "fcfs-bb": "1dfb39daa10dd0e44671ff22120e5310fef26ba0308bcfe86b664a39abd9f8f9",
-        "sjf-bb": "b4e7c50829a127c0809891ef2781159e4b434d4d61a5a3cb8990e00d0396042d",
-        "plan": "327edd5a0efe03cf6fe7d064fb4af1657de3aa64f03c471f270e81fcd0818862",
+        "fcfs": "4c6c5059fe8d06ee7e6673f3129c19443be983fe4b3849ca664c4269d908596a",
+        "filler": "ec0dcae2434d9287ddeabea89e40cde6c9e23c6a6daecf8bca1ba0b872860b48",
+        "fcfs-easy": "ac74e11f9d16906490e11e64e13819705c02450cfd3ab8b086d24de6cf3d4609",
+        "fcfs-bb": "e84f318be3f0c8c8609404f86c0ac7ca2da970e00011db8ff4e1f51317ec177c",
+        "sjf-bb": "571b9a90800c8ec2fc1b864987d97fb976aa64378b5bc00909cf153a1356a52f",
+        "plan": "db398a9cffbd44a3ad71dcdc5c768874d12348d880037ee00e272bb66299fdd9",
     },
     "io-lifecycle": {
-        "fcfs": "c690a795ce70b26e3ad33e97022b4d62d9f9145819b9f6d961081b51b598b9e7",
-        "filler": "fad0b18e28c6132d9c1210cd7643d170c82338fc71403440b31c6b1c5909c77e",
-        "fcfs-easy": "e2b7cd5de5ce7047f87aa3c82e9cefabe73d37e69a376f03172f7e2b821c2163",
-        "fcfs-bb": "4fb913a1374dd5c959f86ebd0a647c2027c7519905d80077e91e18484ab4a0f5",
-        "sjf-bb": "3dc49fbbcb4cd7191f9a319d33c30446ff0519bf41e6c1482d7862ea8713b58d",
-        "plan": "4105aa09ef04e539eb0152a2f1a733cc8460a8c0680dc56b3ed0101325b14a9b",
+        "fcfs": "ea87d9e4a5844b04e54a2e21ee5f7bd83142893db095a8fc84ccd69528204715",
+        "filler": "52964cee1ab5bc5cc4d30fa1ec6de229cd9b9d2452a51e409e90491df9291d04",
+        "fcfs-easy": "07166c4636805a1e03d9009c727377254fc014af1238be2c73093af949a6060e",
+        "fcfs-bb": "a25bd6651270d4f1bc6ec83d6e41453f2b703599bfc0dca0e178452eed719b9c",
+        "sjf-bb": "a290a719e423a5389af790cee5dd6f741cb4eaa3b418babee1aaf590bd87c530",
+        "plan": "7000b6b4cb8c7f6d1113e0648f4e450fc8732e2019b392a4120eafb5032c26e9",
     },
 }
 
 QUEUE_POLICY_LINES = {"backfill-pressure": 1500, "io-lifecycle": 900}
-
-
-def submit_timed(line: dict) -> dict:
-    if line["event"] != "submit":
-        return line
-    line = {**line, "t": line["submit"]}
-    del line["submit"]
-    return line
 
 
 @pytest.mark.parametrize("policy", bench.POLICIES)
@@ -62,5 +52,5 @@ def test_trace_is_time_ordered(workload, policy):
     for line in lines:
         if line["event"] == "submit":
             assert line["submit"] <= line["t"] < line["submit"] + cfg.tick_period_s
-    text = "".join(json.dumps(submit_timed(line)) + "\n" for line in lines)
+    text = "".join(json.dumps(line) + "\n" for line in lines)
     assert hashlib.sha256(text.encode()).hexdigest() == LINES_SHA256[workload][policy]

@@ -3,17 +3,17 @@
 The profile is a step function of free capacity and no more: callers add and
 remove demand over the interval they know, and free capacity stays between
 zero and the fixed platform totals. Each step stores its free processors and
-bytes, so earliest-slot queries and window feasibility checks look only at
-the steps their window covers; a +inf sentinel step with the totals ends
-every scan without a bound check. earliest_slot is the one slot scan; with
-take it also takes the demand over the window it found, in the same pass.
+bytes, so queries look only at the steps their window covers; a +inf sentinel
+step with the totals ends every scan without a bound check. add, remove and
+earliest_slot with take each scan their window, check it on the way, and hand
+it to one writer, _take; earliest_slot is the one slot scan.
 Time is integer seconds throughout.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 
 class CapacityError(Exception):
@@ -65,59 +65,64 @@ class AvailabilityProfile:
 
     # -- changing free capacity --------------------------------------------
 
-    def _apply(self, start: int, end: int, dp: int, db: int, i: int, j: int) -> bool:
-        """Add (dp, db) to free capacity over [start, end), start < end, where
-        i and j are where start and end bisect left into the breakpoints.
+    def _take(self, i: int, k: int, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
+        """The one writer: take the demand from free capacity over [start, end).
 
-        Returns False, changing nothing, if free capacity would leave [0, totals].
+        Step i holds start and k is the first step at or after end. The demand
+        is negative to give capacity back and is not zero on both resources,
+        and the caller has shown that every step of the window stays within
+        [0, totals]. An inserted breakpoint splits a step the demand then
+        changes, so only an end found in place can merge: end first, which
+        keeps i valid.
         """
         times, fp, fb = self._times, self._free_p, self._free_b
-        # breakpoints at start and end, inserted with unchanged free capacity if absent
-        if times[i] != start:
+        if times[k] != end:
+            times.insert(k, end)
+            fp.insert(k, fp[k - 1])
+            fb.insert(k, fb[k - 1])
+        elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
+            del times[k], fp[k], fb[k]  # step k - 1, once taken from, goes on into step k
+        if times[i] != start:  # start lies inside step i
+            i += 1
             times.insert(i, start)
             fp.insert(i, fp[i - 1])
             fb.insert(i, fb[i - 1])
-            j += 1
-        if times[j] != end:
-            times.insert(j, end)
-            fp.insert(j, fp[j - 1])
-            fb.insert(j, fb[j - 1])
-        ok = True
-        for k in range(i, j):  # not empty, as start < end
-            p, b = fp[k] + dp, fb[k] + db
-            if not (0 <= p <= self.total_procs and 0 <= b <= self.total_bb):
-                for m in range(i, k):  # undo the steps already written
-                    fp[m] -= dp
-                    fb[m] -= db
-                ok = False
-                break
-            fp[k], fb[k] = p, b
-        # only the two ends can have become redundant; j first keeps i valid
-        for k in (j, i):
-            if fp[k] == fp[k - 1] and fb[k] == fb[k - 1]:
-                del times[k], fp[k], fb[k]
-        return ok
+            k += 1
+        elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
+            del times[i], fp[i], fb[i]  # step i, once taken from, equals step i - 1
+            k -= 1
+        for m in range(i, k):
+            fp[m] -= n_procs
+            fb[m] -= bb_bytes
 
     def add(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Take the demand from free capacity over [start, end)."""
         if not (start < end and n_procs >= 0 <= bb_bytes):
             raise _bad_demand(start, end)
-        i = bisect_left(self._times, start)
-        j = bisect_left(self._times, end, i)
-        if not self._apply(start, end, -n_procs, -bb_bytes, i, j):
-            raise CapacityError(f"demand ({n_procs} procs, {bb_bytes} B) exceeds free capacity"
-                                f" over [{start}, {end})")
+        times, fp, fb = self._times, self._free_p, self._free_b
+        i = k = bisect_right(times, start) - 1
+        while times[k] < end:
+            if fp[k] < n_procs or fb[k] < bb_bytes:
+                raise CapacityError(f"demand ({n_procs} procs, {bb_bytes} B) exceeds free"
+                                    f" capacity over [{start}, {end})")
+            k += 1
+        if n_procs or bb_bytes:
+            self._take(i, k, start, end, n_procs, bb_bytes)
 
     def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Give back demand that add took over [start, end)."""
         if not (start < end and n_procs >= 0 <= bb_bytes):
             raise _bad_demand(start, end)
-        i = bisect_left(self._times, start)
-        j = bisect_left(self._times, end, i)
-        if not self._apply(start, end, n_procs, bb_bytes, i, j):
-            raise CapacityError(
-                f"demand ({n_procs} procs, {bb_bytes} B) is not held over [{start}, {end})"
-            )
+        times, fp, fb = self._times, self._free_p, self._free_b
+        top_p, top_b = self.total_procs - n_procs, self.total_bb - bb_bytes
+        i = k = bisect_right(times, start) - 1
+        while times[k] < end:
+            if fp[k] > top_p or fb[k] > top_b:
+                raise CapacityError(f"demand ({n_procs} procs, {bb_bytes} B) is not held"
+                                    f" over [{start}, {end})")
+            k += 1
+        if n_procs or bb_bytes:
+            self._take(i, k, start, end, -n_procs, -bb_bytes)
 
     # -- queries -----------------------------------------------------------
 
@@ -148,8 +153,8 @@ class AvailabilityProfile:
 
         One scan from the step holding not_before: a run of steps short of the
         demand moves the candidate start to the breakpoint after it. With take,
-        the demand is also taken over the window found, with its breakpoints
-        put where the scan stopped; the same as earliest_slot followed by add.
+        the demand is also taken over the window found, where the scan stopped;
+        the same as earliest_slot followed by add.
         """
         if not (n_procs <= self.total_procs and bb_bytes <= self.total_bb and duration > 0):
             if n_procs > self.total_procs or bb_bytes > self.total_bb:
@@ -173,30 +178,8 @@ class AvailabilityProfile:
             return start
         if not n_procs >= 0 <= bb_bytes:
             raise _bad_demand(start, end)
-        if not (n_procs or bb_bytes):
-            return start  # add would insert both ends and merge them away again
-        # the scan found the demand free on every step of the window, so the
-        # unchecked write below keeps each value in [0, totals]. An inserted
-        # breakpoint splits a step the demand then changes, so only one found
-        # in place can merge: end first, which keeps i valid
-        if times[k] != end:
-            times.insert(k, end)
-            fp.insert(k, fp[k - 1])
-            fb.insert(k, fb[k - 1])
-        elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
-            del times[k], fp[k], fb[k]  # step k - 1, once taken from, goes on into step k
-        if times[i] != start:  # start lies inside step i
-            i += 1
-            times.insert(i, start)
-            fp.insert(i, fp[i - 1])
-            fb.insert(i, fb[i - 1])
-            k += 1
-        elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
-            del times[i], fp[i], fb[i]  # step i, once taken from, equals step i - 1
-            k -= 1
-        for m in range(i, k):
-            fp[m] -= n_procs
-            fb[m] -= bb_bytes
+        if n_procs or bb_bytes:
+            self._take(i, k, start, end, n_procs, bb_bytes)
         return start
 
 

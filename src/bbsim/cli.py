@@ -67,12 +67,20 @@ def _lines(path: str):
                 raise InputError(f"{path}: line {line_no}: {exc}") from exc
 
 
+def _read(path: str, reader):
+    """reader applied to path's lines; an error it reports is an InputError naming path."""
+    try:
+        return reader(_lines(path))
+    except (ValueError, SwfParseError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 # -- convert -------------------------------------------------------------------
 
 
 def cmd_convert(args) -> int:
     model = LogNormalModel(mu=args.mu, sigma=args.sigma)
-    result = parse_swf(_lines(args.swf))
+    result = _read(args.swf, parse_swf)
     jobs = synthesize_bb(result.jobs, model, args.seed)
     jobs = assign_phases(jobs, args.seed)
     with open(args.output, "w") as f:
@@ -135,11 +143,29 @@ CONFIG_KEYS = (
 )
 
 
+@contextlib.contextmanager
+def _replaced_on_success(path: str):
+    """A new file beside path, made at once so that a bad path fails first; it
+    replaces path if the block succeeds and is deleted if the block raises."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"{path} is a directory")
+    directory, name = os.path.split(path)
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    f = open(temporary, "w")
+    try:
+        with f:
+            yield f
+        os.replace(temporary, path)
+    except BaseException:  # KeyboardInterrupt too
+        os.remove(temporary)
+        raise
+
+
 def _run_simulation(config: dict, records_path: str, trace_path: str | None,
                     manifest_path: str | None = None) -> None:
     """Run config's simulation; write its records, and a manifest if a path is given."""
     platform = build_platform(_platform_from_config(config["platform"]))
-    jobs, _ = read_workload(_lines(config["workload"]))
+    jobs, _ = _read(config["workload"], read_workload)
     sim_cfg = SimConfig(
         tick_period_s=config["tick_period_s"],
         io_model=config["io_model"],
@@ -156,11 +182,14 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None,
     sim = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg)
     # every output is opened once the input is accepted and before the run, so
     # a bad path fails before any simulation; the trace is written as the run
-    # goes, so a failed run keeps its lines so far
+    # goes, so a failed run keeps its lines so far, while the records and then
+    # the manifest (entered first, so left last) replace the earlier run's only
+    # once this one has succeeded
     with contextlib.ExitStack() as outputs:
-        trace, records_file, manifest_file = (
-            None if path is None else outputs.enter_context(open(path, "w"))
-            for path in (trace_path, records_path, manifest_path)
+        trace = None if trace_path is None else outputs.enter_context(open(trace_path, "w"))
+        manifest_file, records_file = (
+            None if path is None else outputs.enter_context(_replaced_on_success(path))
+            for path in (manifest_path, records_path)
         )
         if trace is not None:  # its first line is the platform, which gantt binds jobs on
             sim.sink = lambda entry: trace.write(json.dumps(entry) + "\n")
@@ -236,7 +265,7 @@ def cmd_analyze(args) -> int:
         raise InputError(f"--tail must be non-negative, got {args.tail}")
     records: list[JobRecord] = []
     for path in args.records:
-        records.extend(read_records(_lines(path)))
+        records.extend(_read(path, read_records))
     if not records:
         raise InputError("no records found")
     policies = sorted({r.policy for r in records})

@@ -152,6 +152,9 @@ def part_index(submit_time: int) -> int | None:
 # -- workload files (JSON lines, versioned header) --------------------------
 
 _JOB_FIELDS = tuple(f.name for f in dataclasses.fields(JobSpec))
+_REQUIRED_JOB_FIELDS = tuple(
+    f.name for f in dataclasses.fields(JobSpec) if f.default is dataclasses.MISSING
+)
 
 
 def write_workload(stream: TextIO, jobs: Iterable[JobSpec], meta: dict | None = None) -> None:
@@ -184,12 +187,16 @@ def read_workload(stream: Iterator[str]) -> tuple[list[JobSpec], dict]:
             continue
         try:
             fields = json.loads(line)
+            if not isinstance(fields, dict):
+                raise ValueError("a job must be a JSON object")
             unknown = sorted(set(fields) - set(_JOB_FIELDS))
             if unknown:
                 raise ValueError(f"unknown job field(s) {', '.join(unknown)}")
+            missing = [f for f in _REQUIRED_JOB_FIELDS if f not in fields]
+            if missing:
+                raise ValueError(f"missing job field(s) {', '.join(missing)}")
             jobs.append(JobSpec(**fields))
-        # TypeError: missing fields, or not an object; RecursionError: nested too deep
-        except (TypeError, ValueError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ValueError(f"line {line_no}: {exc}") from exc
     return jobs, header
 

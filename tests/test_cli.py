@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -99,7 +100,7 @@ def test_convert_infinite_field_is_input_error(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(["convert", str(path), "-o", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: line 1: cannot convert float infinity to integer\n"
+    assert err == f"error: {path}: line 1: cannot convert float infinity to integer\n"
     assert not out.exists()
 
 
@@ -203,6 +204,50 @@ def test_simulate_bad_output_path_fails_before_the_run(tmp_path, table1_workload
                  "-o", paths["-o"], "--manifest", paths["--manifest"]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "nodir" in err
+
+
+@pytest.mark.parametrize("option", ["-o", "--manifest"])
+def test_simulate_output_path_that_is_a_directory_fails_before_the_run(
+        tmp_path, table1_workload, table1_config, capsys, monkeypatch, option):
+    def no_run(self):
+        pytest.fail("the simulation ran")
+
+    monkeypatch.setattr(Simulation, "run", no_run)
+    paths = {"-o": str(tmp_path / "r.csv"), "--manifest": str(tmp_path / "m.json")}
+    paths[option] = str(tmp_path)
+    assert main(["simulate", "--workload", str(table1_workload), "--config", str(table1_config),
+                 "-o", paths["-o"], "--manifest", paths["--manifest"]]) == 1
+    assert capsys.readouterr().err == f"error: {tmp_path} is a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["platform.json", "table1.jsonl"]
+
+
+@pytest.mark.parametrize("failure", [KeyboardInterrupt, AssertionError])
+def test_a_failed_simulate_keeps_the_earlier_records_and_manifest(
+        tmp_path, table1_workload, table1_config, monkeypatch, failure):
+    """A run stopped by Ctrl-C, or one that exits 2, leaves the records and the
+    manifest of the run before it byte for byte, and no temporary file; the
+    next run that succeeds replaces them."""
+    records = simulate_table1(tmp_path, table1_workload, table1_config, "r.csv")
+    manifest = tmp_path / "manifest.json"
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def failing_run(self):
+        raise failure("stopped")
+
+    monkeypatch.setattr(Simulation, "run", failing_run)
+    argv = ["simulate", "--workload", str(table1_workload), "--config", str(table1_config),
+            "--policy", "fcfs", "--io-model", "off", "-o", str(records),
+            "--manifest", str(manifest)]
+    if failure is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 2
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    monkeypatch.undo()
+    assert main(argv) == 0
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(before)
+    assert json.loads(manifest.read_text())["config"]["policy"] == "fcfs"
 
 
 def test_simulate_defaults_are_the_config_defaults(monkeypatch):
@@ -600,7 +645,7 @@ def test_analyze_impossible_record_is_input_error(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["analyze", str(records), "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: records line 4: finish must be finite, got 'inf'\n"
+    assert err == f"error: {records}: records line 4: finish must be finite, got 'inf'\n"
     assert not outdir.exists()
 
 
@@ -613,7 +658,7 @@ def test_analyze_negative_submit_is_input_error(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["analyze", str(records), "--split", "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: records line 3: submit must be >= 0, got -1900000\n"
+    assert err == f"error: {records}: records line 3: submit must be >= 0, got -1900000\n"
     assert not outdir.exists()
 
 
@@ -625,7 +670,7 @@ def test_analyze_duplicate_or_procless_job_is_input_error(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert main(["analyze", str(records), "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
-    assert err == "error: records line 4: duplicate job 1 for policy 'fcfs'\n"
+    assert err == f"error: {records}: records line 4: duplicate job 1 for policy 'fcfs'\n"
     assert not outdir.exists()
 
 
@@ -641,7 +686,8 @@ def test_analyze_field_past_csv_limit_is_input_error(tmp_path, capsys, header, r
     outdir = tmp_path / "out"
     assert main(["analyze", str(records), "-o", str(outdir)]) == 1
     err = capsys.readouterr().err
-    assert err == f"error: records line {line}: field larger than field limit (131072)\n"
+    assert err == (f"error: {records}: records line {line}: "
+                   "field larger than field limit (131072)\n")
     assert not outdir.exists()
 
 
@@ -838,6 +884,44 @@ def test_input_that_is_not_utf8_names_its_file_and_line(tmp_path, capsys, comman
     assert capsys.readouterr().err == (
         f"error: {path}: line 2: 'utf-8' codec can't decode byte 0xff in position 0: "
         "invalid start byte\n")
+    assert not out.exists()
+
+
+RECORDS_HEAD = "# bbsim-records v1\njob_id,submit,start,finish,n_procs,bb_total,killed,policy\n"
+BAD_JOB = '{"format": "bbsim-workload", "version": 1}\n{"id": 1}\n'
+
+
+@pytest.mark.parametrize("command", ["analyze", "convert", "simulate", "from-manifest"])
+def test_reader_errors_name_their_file(tmp_path, capsys, table1_workload, table1_config,
+                                       command):
+    """A bad line is reported with the path of the file that holds it, and a
+    workload job that lacks fields is told which."""
+    bad, out = tmp_path / "bad", tmp_path / "out"
+    if command == "analyze":  # the second of two records files holds the bad row
+        good = tmp_path / "good.csv"
+        good.write_text(RECORDS_HEAD + "1,0,0,10,1,0,0,fcfs\n")
+        bad.write_text(RECORDS_HEAD + "2,0,5,1,1,0,0,fcfs\n")
+        argv = ["analyze", str(good), str(bad), "-o", str(out)]
+        message = "records line 3: need submit <= start <= finish, got 0, 5, 1"
+    elif command == "convert":
+        bad.write_text("1 2\n")
+        argv = ["convert", str(bad), "-o", str(out)]
+        message = "line 1: expected 18 fields, got 2"
+    else:
+        bad.write_text(BAD_JOB)
+        message = "line 2: missing job field(s) submit_time, runtime, walltime, n_procs"
+        argv = ["simulate", "--workload", str(bad), "-o", str(out),
+                "--manifest", str(tmp_path / "m.json")]
+        if command == "from-manifest":  # a manifest of a good run, pointed at the bad file
+            simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+            manifest = json.loads((tmp_path / "manifest.json").read_text())
+            manifest["config"]["workload"] = str(bad)
+            manifest["workload_sha256"] = hashlib.sha256(BAD_JOB.encode()).hexdigest()
+            (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+            argv = ["simulate", "--from-manifest", str(tmp_path / "manifest.json"),
+                    "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not out.exists()
 
 

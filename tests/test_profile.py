@@ -409,6 +409,61 @@ def test_profile_matches_per_second_oracle(ops, queries):
             )
 
 
+sub_window_cuts = st.lists(
+    st.tuples(
+        st.integers(0, 30),  # which held reservation
+        st.integers(0, 40),  # where in it the sub-window starts
+        st.integers(0, 40),  # how long it runs, wrapped to the reservation's end
+        st.integers(0, 8),  # the part of its processors given back
+        st.integers(0, 10),  # the part of its bytes given back
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+oracle_adds = st.lists(
+    st.tuples(
+        st.integers(0, ORACLE_LAST_END - 1),  # start
+        st.integers(1, 20),  # duration, clipped to ORACLE_LAST_END
+        st.integers(0, 8),  # procs
+        st.integers(0, 10),  # bb units
+    ),
+    min_size=1,
+    max_size=ORACLE_MAX_OPS,
+)
+
+
+@given(oracle_adds, sub_window_cuts)
+@settings(max_examples=150, deadline=None)
+def test_giving_back_a_held_sub_window_matches_the_per_second_oracle(adds, cuts):
+    """Removing any part of held demand over any sub-window of its interval,
+    then adding it back, gives the breakpoints and free capacity of a
+    per-second array after each step."""
+    p = AvailabilityProfile(*ORACLE_TOTALS)
+    oracle = BruteForceProfile(*ORACLE_TOTALS, ORACLE_HORIZON)
+    held = []
+    for start, duration, procs, bb in adds:
+        r = (start, min(start + duration, ORACLE_LAST_END), procs, bb)
+        if oracle.has_capacity(procs, bb, r[0], r[1]):
+            p.add(*r)
+            held.append(r)
+            oracle.apply(r, +1)
+    for which, offset, length, procs_part, bb_part in cuts:
+        if not held:
+            break
+        start, end, procs, bb = held[which % len(held)]
+        sub_start = start + offset % (end - start)
+        sub_end = sub_start + 1 + length % (end - sub_start)
+        sub = (sub_start, sub_end, procs_part % (procs + 1), bb_part % (bb + 1))
+        for change, sign in (("remove", -1), ("add", +1)):
+            getattr(p, change)(*sub)
+            oracle.apply(sub, sign)
+            assert p.breakpoints() == oracle.breakpoints()
+            for t in range(ORACLE_LAST_END + 1):
+                assert p.free_at(t) == oracle.free_at(t)
+
+
 def water_fill_by_levels(pools, bb_bytes):
     """Worst-fit split, one level at a time: give the fullest pools, evenly,
     what brings them down to the next lower level, until the request is met."""

@@ -45,8 +45,22 @@ class InputError(Exception):
     pass
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("BBSIM_SEED", "0"))
+class _EnvSeed(str):
+    """BBSIM_SEED's text as --seed's default, which argparse converts only if no --seed is given."""
+
+
+def _seed(text: str, least: float = -math.inf) -> int:
+    with contextlib.suppress(ValueError):
+        if int(text) >= least:
+            return int(text)
+    rule = "an integer" if least == -math.inf else f"an integer >= {least}"
+    source = "BBSIM_SEED " if isinstance(text, _EnvSeed) else ""
+    raise argparse.ArgumentTypeError(f"{source}must be {rule}, got {text!r}")
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 1, not argparse's 2
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
 def _sha256(path: str) -> str:
@@ -398,12 +412,13 @@ def cmd_gantt(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bbsim",
         description="Burst-buffer-aware job scheduling simulator",
     )
     parser.add_argument("--version", action="version", version=f"bbsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    env_seed = _EnvSeed(os.environ.get("BBSIM_SEED", "0"))
 
     p = sub.add_parser("convert", help="convert an SWF trace to a bbsim workload file")
     p.add_argument("swf", help="input SWF trace")
@@ -411,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=math.log(4e9),
                    help="log-normal mu of per-processor BB request (default ln(4e9))")
     p.add_argument("--sigma", type=float, default=1.0, help="log-normal sigma")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=lambda text: _seed(text, least=0), default=env_seed)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("simulate", help="run one policy over a workload")
@@ -424,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sa-r", type=float, default=anneal.r, dest="sa_r")
     p.add_argument("--sa-n", type=int, default=anneal.n_cooling, dest="sa_n")
     p.add_argument("--sa-m", type=int, default=anneal.m_steps, dest="sa_m")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=_seed, default=env_seed)
     p.add_argument("--io-model", choices=["on", "off"], default=sim.io_model)
     p.add_argument("--tick", type=int, default=sim.tick_period_s, help="scheduler period [s]")
     p.add_argument("--trace", help="write a JSON-lines event trace here")

@@ -62,7 +62,12 @@ class SearchStats:
 
 
 def score(waits, alpha: float) -> float:
-    return sum(float(w) ** alpha for w in waits)
+    """The waits to the power alpha, added left to right from 0.0: sum() compensates
+    float rounding from Python 3.12 on, so it could pick another plan there."""
+    total = 0.0
+    for w in waits:
+        total += float(w) ** alpha
+    return total
 
 
 class Demand(NamedTuple):

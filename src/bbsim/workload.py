@@ -1,4 +1,9 @@
-"""Workload ingestion: SWF traces, burst-buffer synthesis, phase durations, workload files."""
+"""Workload ingestion: SWF traces, burst-buffer synthesis, phase durations, workload files.
+
+Per-job draws come from numpy streams keyed on [seed, job id, stream], so filtering jobs
+never shifts a sample. _job_rng hands numpy the uint32 words it makes of that list, each
+value least significant word first (0 is one word), skipping numpy's slower conversion.
+"""
 
 from __future__ import annotations
 
@@ -110,22 +115,31 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
 
 
 def _job_rng(seed: int, job_id: int, stream: int) -> np.random.Generator:
-    # keyed on (seed, job id), not draw order: filtering jobs never shifts samples
-    return np.random.default_rng([seed, job_id, stream])
+    if min(seed, job_id, stream) < 0:  # refused as numpy refuses it
+        raise ValueError("expected non-negative integer")
+    words = []  # see the module docstring
+    for value in (seed, job_id, stream):
+        words.append(value & 0xFFFF_FFFF)
+        while value := value >> 32:
+            words.append(value & 0xFFFF_FFFF)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
+
+
+def _bb_per_proc(job_id: int, model: LogNormalModel, seed: int) -> int:
+    draw = _job_rng(seed, job_id, 0).lognormal(model.mu, model.sigma)
+    if not math.isfinite(draw):
+        raise ValueError(f"job {job_id}: burst-buffer draw overflows with mu {model.mu!r}, "
+                         f"sigma {model.sigma!r}")
+    return max(int(round(draw)), 0)
+
+
+def _n_phases(job_id: int, runtime: int, seed: int) -> int:
+    return min(int(_job_rng(seed, job_id, 1).integers(1, MAX_PHASES + 1)), runtime)
 
 
 def synthesize_bb(jobs: list[JobSpec], model: LogNormalModel, seed: int) -> list[JobSpec]:
     """Assign per-processor burst-buffer requests, i.i.d. log-normal per job."""
-    out = []
-    for job in jobs:
-        rng = _job_rng(seed, job.id, 0)
-        draw = rng.lognormal(model.mu, model.sigma)
-        if not math.isfinite(draw):
-            raise ValueError(f"job {job.id}: burst-buffer draw overflows with mu {model.mu!r}, "
-                             f"sigma {model.sigma!r}")
-        bb = int(round(draw))
-        out.append(replace(job, bb_per_proc=max(bb, 0)))
-    return out
+    return [replace(job, bb_per_proc=_bb_per_proc(job.id, model, seed)) for job in jobs]
 
 
 def phase_durations(job: JobSpec) -> tuple[int, ...]:
@@ -136,11 +150,7 @@ def phase_durations(job: JobSpec) -> tuple[int, ...]:
 
 def assign_phases(jobs: list[JobSpec], seed: int) -> list[JobSpec]:
     """Draw each job's phase count in 1..10, capped so each phase lasts >= 1 s."""
-    out = []
-    for job in jobs:
-        n = int(_job_rng(seed, job.id, 1).integers(1, MAX_PHASES + 1))
-        out.append(replace(job, n_phases=min(n, job.runtime)))
-    return out
+    return [replace(job, n_phases=_n_phases(job.id, job.runtime, seed)) for job in jobs]
 
 
 def part_index(submit_time: int) -> int | None:
@@ -215,27 +225,22 @@ def synthetic_workload(
     max_procs: int = 32,
     bb_model: LogNormalModel | None = None,
 ) -> list[JobSpec]:
-    """Poisson arrivals, log-uniform runtimes, geometric-ish processor counts."""
+    """Poisson arrivals, log-uniform runtimes, geometric-ish processor counts: one
+    stream draws them in job order, and each job is built once with its own streams' draws."""
     rng = np.random.default_rng(seed)
     lo, hi = SYNTHETIC_RUNTIME_RANGE
     t = 0.0
     jobs: list[JobSpec] = []
-    for i in range(n_jobs):
+    for job_id in range(1, n_jobs + 1):
         t += rng.exponential(mean_interarrival)
         runtime = int(round(math.exp(rng.uniform(math.log(lo), math.log(hi)))))
         runtime = max(runtime, 1)
         stretch = rng.uniform(1.0, SYNTHETIC_WALLTIME_FACTOR)
         walltime = max(runtime, int(round(runtime * stretch)))
         n_procs = min(int(2 ** rng.integers(0, int(math.log2(max_procs)) + 1)), max_procs)
-        jobs.append(
-            JobSpec(
-                id=i + 1,
-                submit_time=int(t),
-                runtime=runtime,
-                walltime=walltime,
-                n_procs=n_procs,
-            )
-        )
-    if bb_model is not None:
-        jobs = synthesize_bb(jobs, bb_model, seed)
-    return assign_phases(jobs, seed)
+        jobs.append(JobSpec(
+            id=job_id, submit_time=int(t), runtime=runtime, walltime=walltime, n_procs=n_procs,
+            bb_per_proc=0 if bb_model is None else _bb_per_proc(job_id, bb_model, seed),
+            n_phases=_n_phases(job_id, runtime, seed),
+        ))
+    return jobs

@@ -930,3 +930,63 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("bbsim ")
+
+
+# -- usage errors: bad flag values and seeds exit 1, as any input error ----------
+
+
+def usage_error(argv, capsys) -> str:
+    """The last stderr line of argv, which must exit 1 through argparse."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--tick", "1.5", "-o", "r.csv"], "argument --tick: invalid int value: '1.5'"),
+    (["simulate", "--policy", "nope", "-o", "r.csv"], "argument --policy: invalid choice: 'nope'"),
+    (["convert", "t.swf", "-o", "w.jsonl", "--seed", "1e3"],
+     "argument --seed: must be an integer >= 0, got '1e3'"),
+    (["simulate", "-o", "r.csv", "--seed", "x"], "argument --seed: must be an integer, got 'x'"),
+], ids=["tick", "policy", "convert-seed", "simulate-seed"])
+def test_bad_flag_value_exits_1(argv, message, capsys):
+    assert message in usage_error(argv, capsys)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convert", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: bbsim convert")
+
+
+@pytest.mark.parametrize("flag", [["--seed", "-1"], []])
+def test_convert_refuses_a_negative_seed_before_reading_the_trace(tmp_path, monkeypatch,
+                                                                 capsys, flag):
+    monkeypatch.setenv("BBSIM_SEED", "-1")
+    swf = tmp_path / "missing.swf"  # read first, it would fail on the path instead
+    source = "BBSIM_SEED " if not flag else ""
+    assert usage_error(["convert", str(swf), "-o", str(tmp_path / "w.jsonl"), *flag], capsys) == (
+        f"bbsim convert: error: argument --seed: {source}must be an integer >= 0, got '-1'")
+    assert not (tmp_path / "w.jsonl").exists()
+
+
+def test_seed_flag_wins_over_a_bad_environment_seed(tmp_path, swf_file, monkeypatch):
+    monkeypatch.setenv("BBSIM_SEED", "-1")
+    out = tmp_path / "w.jsonl"
+    assert main(["convert", str(swf_file), "-o", str(out), "--seed", "5"]) == 0
+    with open(out) as f:
+        assert read_workload(f)[1]["seed"] == 5
+
+
+def test_non_integer_environment_seed_fails_only_where_a_seed_is_read(
+        tmp_path, table1_workload, table1_config, monkeypatch, capsys):
+    path = simulate_table1(tmp_path, table1_workload, table1_config, "r.csv")
+    monkeypatch.setenv("BBSIM_SEED", "abc")
+    assert main(["analyze", str(path), "-o", str(tmp_path / "analysis")]) == 0
+    for argv, rule in ((["convert", "t.swf", "-o", "w.jsonl"], "an integer >= 0"),
+                       (["simulate", "-o", "r.csv"], "an integer")):
+        assert usage_error(argv, capsys).endswith(
+            f"argument --seed: BBSIM_SEED must be {rule}, got 'abc'")

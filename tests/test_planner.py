@@ -52,6 +52,11 @@ def test_score_arithmetic():
     assert score([10, 20], alpha=1) == 30
 
 
+def test_score_adds_left_to_right_on_every_python():
+    # sum() compensates float rounding from Python 3.12 on and gives 1.0000000000000002e16
+    assert score([10**8, 1, 1], 2) == 1e16
+
+
 def test_alpha_two_penalizes_unfairness():
     # both schedules have total wait 30, but the lopsided one scores worse
     assert score([30, 0], 2) == 900 > score([20, 10], 2) == 500

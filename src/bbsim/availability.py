@@ -6,7 +6,10 @@ zero and the fixed platform totals. Each step stores its free processors and
 bytes, so queries look only at the steps their window covers; a +inf sentinel
 step with the totals ends every scan without a bound check. add, remove and
 earliest_slot with take each scan their window, check it on the way, and hand
-it to one writer, _take; earliest_slot is the one slot scan.
+it to one writer, _take; earliest_slot is the one slot scan. place, which puts
+a whole job order on a plan search's throwaway copy, repeats that scan and
+_take's writes inline: calling _take per job gave back most of its gain, and
+add and remove as one-job place calls made every queue policy 8-12% slower.
 Time is integer seconds throughout.
 """
 
@@ -181,6 +184,49 @@ class AvailabilityProfile:
         if n_procs or bb_bytes:
             self._take(i, k, start, end, n_procs, bb_bytes)
         return start
+
+    def place(self, rows) -> list[int]:
+        """Each row's earliest slot, taken before the next row is placed: the starts
+        earliest_slot with take finds row by row, the last row's untaken. A row
+        leads with (n_procs, bb_bytes, duration, not_before), unchecked: a demand
+        earliest_slot has accepted, within the totals and not negative."""
+        times, fp, fb = self._times, self._free_p, self._free_b
+        starts: list[int] = []
+        last = len(rows) - 1
+        for r, row in enumerate(rows):
+            n_procs, bb_bytes, duration, start = row[:4]
+            end = start + duration
+            i = k = bisect_right(times, start) - 1
+            while times[k] < end:
+                if fp[k] < n_procs or fb[k] < bb_bytes:
+                    k += 1
+                    while fp[k] < n_procs or fb[k] < bb_bytes:
+                        k += 1
+                    i, start = k, times[k]
+                    end = start + duration
+                k += 1
+            starts.append(start)
+            if r == last or not (n_procs or bb_bytes):
+                continue
+            if times[k] != end:
+                times.insert(k, end)
+                fp.insert(k, fp[k - 1])
+                fb.insert(k, fb[k - 1])
+            elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
+                del times[k], fp[k], fb[k]
+            if times[i] != start:
+                i += 1
+                times.insert(i, start)
+                fp.insert(i, fp[i - 1])
+                fb.insert(i, fb[i - 1])
+                k += 1
+            elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
+                del times[i], fp[i], fb[i]
+                k -= 1
+            for m in range(i, k):
+                fp[m] -= n_procs
+                fb[m] -= bb_bytes
+        return starts
 
 
 def allocate_bb(pools: dict[int, int], bb_bytes: int) -> dict[int, int]:

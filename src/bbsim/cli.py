@@ -21,6 +21,7 @@ from .metrics import (
     LETTER_VALUE_LEVELS,
     JobRecord,
     bounded_slowdown,
+    left_sum,
     read_records,
     summarize,
     waiting_time,
@@ -325,7 +326,7 @@ def cmd_analyze(args) -> int:
             f.write("policy,part,metric,mean,normalized\n")
             for metric_name, metric in METRICS.items():
                 part_means = {
-                    (policy, part): sum(map(metric, recs)) / len(recs)
+                    (policy, part): left_sum(map(metric, recs)) / len(recs)
                     for (policy, part), recs in by_part.items()
                 }
                 normalized = normalize_by_reference(part_means, args.reference)

@@ -65,6 +65,15 @@ def nearest_rank_quantile(sorted_values: list[float], level: float) -> float:
     return sorted_values[idx - 1]
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The values added left to right from 0.0, as planner.score adds: sum()
+    compensates float rounding from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def summarize(
     records: Iterable[JobRecord],
     metric: Callable[[JobRecord], float],
@@ -74,9 +83,9 @@ def summarize(
     if not values:
         raise ValueError("no records to summarize")
     n = len(values)
-    mean = sum(values) / n
+    mean = left_sum(values) / n
     if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
+        var = left_sum((v - mean) ** 2 for v in values) / (n - 1)
         ci95 = 1.96 * math.sqrt(var) / math.sqrt(n)
     else:
         ci95 = 0.0

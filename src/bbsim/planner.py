@@ -1,7 +1,7 @@
 """Plan-based scheduling: permutation plans scored by sum of waiting times^alpha,
 searched exhaustively for small queues or by simulated annealing seeded with
-nine heuristic orderings. A build finds and takes each job's slot in one
-AvailabilityProfile.earliest_slot scan.
+nine heuristic orderings. A build is one AvailabilityProfile.place call on a
+copy of the profile, which finds and takes every job's slot in turn.
 """
 
 from __future__ import annotations
@@ -49,9 +49,19 @@ class AnnealConfig:
 
 
 class ExecutionPlan(NamedTuple):
-    permutation: tuple[int, ...]  # job ids in plan order
-    starts: dict[int, int]  # job id -> planned start
+    """A search reads only the score of most plans it builds, so permutation
+    and starts are made when asked for."""
+    jobs: tuple[Demand, ...]  # in plan order
+    placed: list[int]  # planned starts, in plan order
     score: float
+
+    @property
+    def permutation(self) -> tuple[int, ...]:  # job ids in plan order
+        return tuple(row.id for row in self.jobs)
+
+    @property
+    def starts(self) -> dict[int, int]:  # job id -> planned start, in plan order
+        return dict(zip(self.permutation, self.placed))
 
 
 @dataclass
@@ -71,13 +81,14 @@ def score(waits, alpha: float) -> float:
 
 
 class Demand(NamedTuple):
-    """A queued job as the plan search reads it, once per search."""
-    id: int
+    """A queued job as the plan search reads it, once per search. It leads with
+    the demand AvailabilityProfile.place reads."""
     n_procs: int
     bb_total: int
     walltime: int
-    submit_time: int
     not_before: int  # the job's earliest slot on the profile the search starts from
+    id: int
+    submit_time: int
 
 
 def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> list[Demand]:
@@ -88,8 +99,9 @@ def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> lis
     the same slot as searching from now.
     """
     return [
-        Demand(j.id, j.n_procs, j.bb_total, j.walltime, j.submit_time,
-               profile.earliest_slot(j.n_procs, j.bb_total, j.walltime, now))
+        Demand(j.n_procs, j.bb_total, j.walltime,
+               profile.earliest_slot(j.n_procs, j.bb_total, j.walltime, now),
+               j.id, j.submit_time)
         for j in queue
     ]
 
@@ -103,17 +115,9 @@ def build_plan(
     """Place jobs in the given order at their earliest slots on a profile copy."""
     if stats is not None:
         stats.n_builds += 1
-    work = profile.copy()
-    slot, last = work.earliest_slot, len(jobs) - 1
-    starts: dict[int, int] = {}
-    waits = []
-    for k, (jid, n_procs, bb, walltime, submit_time, not_before) in enumerate(jobs):
-        # nothing is placed after the last job, so its demand is never taken
-        start = slot(n_procs, bb, walltime, not_before, k < last)
-        starts[jid] = start
-        waits.append(start - submit_time)
-    # job ids are unique, so starts keeps their order
-    return ExecutionPlan(tuple(starts), starts, score(waits, alpha))
+    placed = profile.copy().place(jobs)
+    waits = [start - row.submit_time for row, start in zip(jobs, placed)]
+    return ExecutionPlan(tuple(jobs), placed, score(waits, alpha))
 
 
 def initial_candidates(queue: list[Demand]) -> list[list[Demand]]:
@@ -169,8 +173,9 @@ def anneal(
     """Simulated annealing from the best of the nine candidates.
 
     Initial temperature is the best-worst candidate score spread; annealing is
-    skipped entirely when the spread is zero. The incumbent plan is kept
-    between steps, so each inner step constructs exactly one new plan:
+    skipped entirely when the spread is zero. The incumbent plan, which holds
+    its job order, is kept between steps, so each inner step swaps two jobs of
+    a copy of that order and constructs exactly one new plan:
     n_cooling * m_steps + 9 constructions total with defaults (189), each of
     which scans every job.
     """
@@ -181,7 +186,6 @@ def anneal(
     candidates = [
         build_plan(order, profile, cfg.alpha, stats) for order in initial_candidates(rows)
     ]
-    jobs_by_id = {row.id: row for row in rows}
     best = min(candidates, key=lambda p: p.score)
     worst = max(candidates, key=lambda p: p.score)
     if best.score == worst.score:
@@ -197,7 +201,7 @@ def anneal(
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
-            new_jobs = [jobs_by_id[jid] for jid in current.permutation]
+            new_jobs = list(current.jobs)
             new_jobs[i], new_jobs[j] = new_jobs[j], new_jobs[i]
             plan = build_plan(new_jobs, profile, cfg.alpha, stats)
             if plan.score < best.score:
@@ -228,9 +232,9 @@ def plan_schedule(
         plan = exhaustive(list(state.queue.values()), state.profile, state.now, cfg.alpha, stats)
     else:
         plan = anneal(list(state.queue.values()), state.profile, state.now, cfg, rng, stats)
-    for jid in plan.permutation:
-        if plan.starts[jid] == state.now:
-            job = state.queue[jid]
+    for row, start in zip(plan.jobs, plan.placed):
+        if start == state.now:
+            job = state.queue[row.id]
             launch(state, job)
             result.launched.append(job)
     return result

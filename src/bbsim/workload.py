@@ -80,8 +80,8 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
 
     Field mapping (1-indexed SWF): submit=2, runtime=4, processors=8 with
     fallback to 5 when -1, walltime=9 with fallback to runtime. Records with a
-    negative submit time or a non-positive runtime or processor count are
-    dropped and counted.
+    negative job id or submit time, or a non-positive runtime or processor
+    count, are dropped and counted.
     """
     jobs: list[JobSpec] = []
     dropped = 0
@@ -99,7 +99,7 @@ def parse_swf(stream: Iterable[str]) -> SwfParseResult:
         job_id, submit, runtime = values[0], values[1], values[3]
         n_procs = values[7] if values[7] > 0 else values[4]
         walltime = values[8] if values[8] > 0 else runtime
-        if submit < 0 or runtime <= 0 or n_procs <= 0:
+        if job_id < 0 or submit < 0 or runtime <= 0 or n_procs <= 0:
             dropped += 1
             continue
         jobs.append(

@@ -78,6 +78,18 @@ def test_convert_roundtrip(tmp_path, swf_file, capsys):
     assert meta["seed"] == 5
 
 
+def test_convert_drops_a_negative_job_id(tmp_path, capsys):
+    path = tmp_path / "trace.swf"
+    path.write_text(swf_line(-1, 0, 100, 2) + "\n" + swf_line(2, 30, 50, 1) + "\n")
+    out = tmp_path / "workload.jsonl"
+    assert main(["convert", str(path), "-o", str(out)]) == 0
+    msg = capsys.readouterr().out
+    assert "1 jobs" in msg and "1 records dropped" in msg
+    with open(out) as f:
+        jobs, _ = read_workload(f)
+    assert [j.id for j in jobs] == [2]
+
+
 def test_convert_is_deterministic(tmp_path, swf_file):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     main(["convert", str(swf_file), "-o", str(a), "--seed", "5"])

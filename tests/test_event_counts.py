@@ -226,10 +226,12 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
 
 
-# (build_plan, earliest_slot, add) calls of each plan run. earliest_slot finds
-# and takes the slot of every job but each build's last, finds that last job's
-# slot without taking it, and finds each search's per-job lower bounds; add
-# only launches jobs, once per job of the run.
+# (build_plan builds, slot scans, add calls) of each plan run. Each build is one
+# place call, which finds and takes the slot of every job but the last, and
+# finds that last job's slot without taking it; earliest_slot finds each
+# search's per-job lower bounds. Slot scans are the rows all place calls
+# receive plus the earliest_slot calls. add only launches jobs, once per job of
+# the run.
 PLAN_WORK = {
     "backfill-pressure": (3403, 25970, 60),
     "io-lifecycle": (479, 2102, 60),
@@ -239,12 +241,19 @@ PLAN_WORK = {
 
 @pytest.mark.parametrize("workload", sorted(PLAN_WORK))
 def test_plan_search_work(workload, monkeypatch):
-    calls = dict.fromkeys(("build_plan", "earliest_slot", "add"), 0)
+    calls = dict.fromkeys(("build_plan", "slot_scans", "add"), 0)
     planner = bench.bbsim.planner
+    place = AvailabilityProfile.place
+
+    def counting_place(self, rows):
+        calls["slot_scans"] += len(rows)
+        return place(self, rows)
+
     monkeypatch.setattr(planner, "build_plan", counting(calls, "build_plan", planner.build_plan))
-    for name in ("earliest_slot", "add"):
-        monkeypatch.setattr(AvailabilityProfile, name,
-                            counting(calls, name, getattr(AvailabilityProfile, name)))
+    monkeypatch.setattr(AvailabilityProfile, "earliest_slot",
+                        counting(calls, "slot_scans", AvailabilityProfile.earliest_slot))
+    monkeypatch.setattr(AvailabilityProfile, "place", counting_place)
+    monkeypatch.setattr(AvailabilityProfile, "add", counting(calls, "add", AvailabilityProfile.add))
     run(workload, "plan")
     assert tuple(calls.values()) == PLAN_WORK[workload]
     assert calls["add"] == len(inputs(workload)[1]["plan"])

@@ -9,6 +9,7 @@ from bbsim.metrics import (
     LETTER_VALUE_LEVELS,
     JobRecord,
     bounded_slowdown,
+    left_sum,
     nearest_rank_quantile,
     normalize_by_reference,
     read_records,
@@ -69,6 +70,15 @@ def test_summarize_identical_values():
     assert s.mean == 10
     assert s.ci95 == 0.0
     assert all(v == 10 for _, v in s.quantiles)
+
+
+def test_summarize_adds_left_to_right():
+    """1e16 + 1.0 rounds back to 1e16, so the left-to-right mean of these waits
+    differs from the compensated one that sum() gives from Python 3.12 on."""
+    waits = [10**16, 1, 1]
+    assert left_sum(waits) == 1e16 != math.fsum(waits)
+    s = summarize([rec(start=w) for w in waits], waiting_time)
+    assert s.mean == 1e16 / 3
 
 
 def test_summarize_mean_and_ci():

@@ -196,18 +196,25 @@ def test_anneal_budget_is_189():
 
 
 def test_anneal_earliest_slot_budget(monkeypatch):
-    """One seeded annealing cycle makes an exact number of earliest_slot
-    scans: one lower bound per job on the base profile, then, in every
-    build, one scan per job (taking the slot for all but the last)."""
+    """One seeded annealing cycle makes an exact number of slot scans: one
+    earliest_slot lower bound per job on the base profile, then, in every
+    build, one place call that scans for each job (taking the slot for all but
+    the last). Searched scans are the rows place receives plus any
+    earliest_slot call off the base profile."""
     base = AvailabilityProfile(8, 10)
     calls = {"bounds": 0, "searched": 0}
-    earliest_slot = AvailabilityProfile.earliest_slot
+    earliest_slot, place = AvailabilityProfile.earliest_slot, AvailabilityProfile.place
 
     def counting(self, *args, **kwargs):
         calls["bounds" if self is base else "searched"] += 1
         return earliest_slot(self, *args, **kwargs)
 
+    def counting_place(self, rows):
+        calls["searched"] += len(rows)
+        return place(self, rows)
+
     monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
+    monkeypatch.setattr(AvailabilityProfile, "place", counting_place)
     stats = SearchStats()
     anneal(heterogeneous_queue(8), base, 50, AnnealConfig(alpha=2), random.Random(0), stats)
     assert stats.n_builds == 189

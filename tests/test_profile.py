@@ -264,6 +264,35 @@ def test_take_equals_earliest_slot_then_add(specs, procs, bb, duration, not_befo
     assert p == expected
 
 
+@given(reservation_lists, st.data())
+@settings(max_examples=300)
+def test_place_equals_earliest_slot_row_by_row(specs, data):
+    """place returns the starts of earliest_slot with take row by row, the last
+    row untaken, and leaves the profile == to theirs. Rows have zero bytes and
+    full width among them, and windows that start inside a step or on a
+    breakpoint and that end on one; place reads only a row's first four items."""
+    p = AvailabilityProfile(8, 10)
+    for start, dur, rp, rb in specs:
+        if p.has_capacity(rp, rb, start, start + dur):
+            p.add(start, start + dur, rp, rb)
+    breakpoints = [0, *p.breakpoints()]
+    rows = []
+    for k in range(data.draw(st.integers(0, 8))):
+        not_before = data.draw(st.sampled_from(breakpoints) | st.integers(0, 700))
+        to_breakpoints = [b - not_before for b in breakpoints if b > not_before]
+        durations = st.integers(1, 200)
+        if to_breakpoints:
+            durations |= st.sampled_from(to_breakpoints)
+        rows.append((data.draw(st.integers(0, 8)), data.draw(st.integers(0, 10)),
+                     data.draw(durations), not_before, k))
+    expected = p.copy()
+    last = len(rows) - 1
+    starts = [expected.earliest_slot(*row[:4], take=k < last) for k, row in enumerate(rows)]
+    work = p.copy()
+    assert work.place(rows) == starts
+    assert work == expected
+
+
 class BruteForceProfile:
     """Used processors and bytes at every second of [0, horizon)."""
 

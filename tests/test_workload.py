@@ -58,6 +58,12 @@ def test_invalid_records_dropped_and_counted():
     assert result.n_dropped == 3
 
 
+def test_negative_job_id_dropped_and_counted():
+    result = parse_swf([swf_record(job_id=-1), swf_record(job_id=2)])
+    assert [job.id for job in result.jobs] == [2]
+    assert result.n_dropped == 1
+
+
 def test_jobspec_rejects_negative_submit_time():
     with pytest.raises(ValueError, match="job 7: submit_time must be non-negative"):
         JobSpec(id=7, submit_time=-100, runtime=5, walltime=5, n_procs=1)

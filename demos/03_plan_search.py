@@ -12,7 +12,7 @@ import itertools
 import random
 
 from bbsim.availability import AvailabilityProfile
-from bbsim.planner import AnnealConfig, SearchStats, anneal, build_plan, demands, initial_candidates
+from bbsim.planner import SearchStats, anneal, build_plan, demands, initial_candidates
 from bbsim.workload import JobSpec
 
 CANDIDATE_NAMES = [
@@ -52,8 +52,7 @@ def main():
         print(f"  {name:22s} {ids:22s} score {plan.score:>14.0f}")
 
     stats = SearchStats()
-    best = anneal(queue, profile, now, AnnealConfig(alpha=alpha),
-                  random.Random(0), stats)
+    best = anneal(queue, profile, now, alpha, random.Random(0), stats)
     print(f"\nannealed: {'-'.join(map(str, best.permutation)):22s} "
           f"score {best.score:>14.0f}  ({stats.n_builds} plans built)")
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .metrics import (
     write_records,
     normalize_by_reference,
 )
-from .planner import AnnealConfig
+from .planner import COOLING_RATE, M_STEPS, N_COOLING
 from .platform import LogNormalModel, PlatformConfig, build_platform
 from .policies import POLICY_NAMES
 from .workload import (
@@ -64,17 +65,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
 
 
-def _sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _lines(path: str):
-    """path's lines as text; one that is not UTF-8 is an InputError naming path and line."""
-    with open(path, "rb") as f:
+def _lines(path: str, data: bytes | None = None):
+    """path's lines as text (from data, path's bytes, if given); one that is not
+    UTF-8 is an InputError naming path and line."""
+    with open(path, "rb") if data is None else io.BytesIO(data) as f:
         for line_no, line in enumerate(f, start=1):
             try:
                 yield line.decode()
@@ -82,10 +76,11 @@ def _lines(path: str):
                 raise InputError(f"{path}: line {line_no}: {exc}") from exc
 
 
-def _read(path: str, reader):
-    """reader applied to path's lines; an error it reports is an InputError naming path."""
+def _read(path: str, reader, data: bytes | None = None):
+    """reader applied to path's lines (from data, if given); an error it reports
+    is an InputError naming path."""
     try:
-        return reader(_lines(path))
+        return reader(_lines(path, data))
     except (ValueError, SwfParseError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -150,12 +145,24 @@ def _platform_from_config(cfg) -> PlatformConfig:
     return _from_json(PlatformConfig, cfg, "platform config")
 
 
-# the keys simulate writes into a manifest's config; --from-manifest needs them all
-# and takes no other
-CONFIG_KEYS = (
-    "platform", "workload", "policy", "alpha", "sa_r", "sa_n", "sa_m", "seed",
-    "io_model", "tick_period_s",
-)
+# the keys simulate writes into a manifest's config, each but platform a flag's
+# dest; --from-manifest needs them all and takes no other
+CONFIG_KEYS = ("platform", "workload", "policy", "alpha", "seed", "io_model", "tick_period_s")
+# the annealing schedule's keys in manifests written while it could be set
+OLD_SCHEDULE_KEYS = {"sa_r": COOLING_RATE, "sa_n": N_COOLING, "sa_m": M_STEPS}
+
+
+def _refuse_shared_paths(inputs: dict, outputs: dict) -> None:
+    """Refuse an output path that is another output's or an input's file: the
+    one written last would be all that is left of both. Keys are the flags."""
+    named = {}  # real path -> the flag that named it first
+    for flag, path in [*inputs.items(), *outputs.items()]:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in named and flag in outputs:
+            raise InputError(f"{named[real]} and {flag} name the same file: {path}")
+        named.setdefault(real, flag)
 
 
 @contextlib.contextmanager
@@ -176,25 +183,25 @@ def _replaced_on_success(path: str):
         raise
 
 
-def _run_simulation(config: dict, records_path: str, trace_path: str | None,
-                    manifest_path: str | None = None) -> None:
-    """Run config's simulation; write its records, and a manifest if a path is given."""
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _run_simulation(config: dict, workload: bytes, records_path: str,
+                    trace_path: str | None, manifest_path: str | None = None) -> None:
+    """Run config's simulation on workload, the bytes read from its workload
+    file, which its jobs and manifest hash both come from; write its records,
+    and a manifest if a path is given."""
     platform = build_platform(_platform_from_config(config["platform"]))
-    jobs, _ = _read(config["workload"], read_workload)
+    jobs, _ = _read(config["workload"], read_workload, workload)
     sim_cfg = SimConfig(
         tick_period_s=config["tick_period_s"],
         io_model=config["io_model"],
         seed=config["seed"],
+        alpha=config["alpha"],
     )
-    anneal_cfg = None
-    if config["policy"] == "plan":
-        anneal_cfg = AnnealConfig(
-            alpha=config["alpha"],
-            r=config["sa_r"],
-            n_cooling=config["sa_n"],
-            m_steps=config["sa_m"],
-        )
-    sim = Simulation(platform, jobs, config["policy"], sim_cfg, anneal_cfg)
+    sim = Simulation(platform, jobs, config["policy"], sim_cfg)
     # every output is opened once the input is accepted and before the run, so
     # a bad path fails before any simulation; the trace is written as the run
     # goes, so a failed run keeps its lines so far, while the records and then
@@ -213,7 +220,7 @@ def _run_simulation(config: dict, records_path: str, trace_path: str | None,
         write_records(records_file, sim.run())
         if manifest_file is not None:
             manifest = {"tool": "bbsim", "version": __version__, "command": "simulate",
-                        "config": config, "workload_sha256": _sha256(config["workload"]),
+                        "config": config, "workload_sha256": hashlib.sha256(workload).hexdigest(),
                         "records": records_path, "trace": trace_path}
             json.dump(manifest, manifest_file, indent=2, sort_keys=True)
             manifest_file.write("\n")
@@ -229,6 +236,10 @@ def cmd_simulate(args) -> int:
         config = manifest["config"]
         if not isinstance(config, dict):
             raise InputError(f"{args.from_manifest}: 'config' must be a JSON object")
+        for key, value in OLD_SCHEDULE_KEYS.items():
+            if key in config and config.pop(key) != value:
+                raise InputError(f"{args.from_manifest}: config {key!r} must be {value}: "
+                                 "the annealing schedule is fixed")
         missing = [key for key in CONFIG_KEYS if key not in config]
         if missing:
             raise InputError(
@@ -239,13 +250,19 @@ def cmd_simulate(args) -> int:
             raise InputError(f"{args.from_manifest}: 'workload' must be a file path")
         if config["policy"] not in POLICY_NAMES:
             raise InputError(f"{args.from_manifest}: unknown policy {config['policy']!r}")
-        if _sha256(config["workload"]) != manifest["workload_sha256"]:
+        _refuse_shared_paths({"--from-manifest": args.from_manifest,
+                              "the manifest's workload": config["workload"]},
+                             {"-o": args.output, "--trace": args.trace})
+        workload = _read_bytes(config["workload"])
+        if hashlib.sha256(workload).hexdigest() != manifest["workload_sha256"]:
             raise InputError("workload file changed since the manifest was written")
-        _run_simulation(config, args.output, args.trace)
+        _run_simulation(config, workload, args.output, args.trace)
         return 0
 
     if not args.workload:
         raise InputError("--workload is required (or use --from-manifest)")
+    _refuse_shared_paths({"--workload": args.workload, "--config": args.config},
+                         {"-o": args.output, "--manifest": args.manifest, "--trace": args.trace})
     platform_cfg = {}
     if args.config:
         file_cfg = _load_json(args.config)
@@ -253,19 +270,9 @@ def cmd_simulate(args) -> int:
             raise InputError(f"{args.config} must hold a JSON object")
         _refuse_unknown_keys(file_cfg, ("platform",), args.config)
         platform_cfg = file_cfg.get("platform", {})
-    config = {
-        "platform": platform_cfg,
-        "workload": args.workload,
-        "policy": args.policy,
-        "alpha": args.alpha,
-        "sa_r": args.sa_r,
-        "sa_n": args.sa_n,
-        "sa_m": args.sa_m,
-        "seed": args.seed,
-        "io_model": args.io_model,
-        "tick_period_s": args.tick,
-    }
-    _run_simulation(config, args.output, args.trace, args.manifest)
+    config = {key: getattr(args, key) for key in CONFIG_KEYS if key != "platform"}
+    config["platform"] = platform_cfg
+    _run_simulation(config, _read_bytes(args.workload), args.output, args.trace, args.manifest)
     print(f"wrote {args.output} and {args.manifest}")
     return 0
 
@@ -435,14 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file (platform section)")
     p.add_argument("--policy", default="fcfs-bb",
                    choices=POLICY_NAMES)
-    anneal, sim = AnnealConfig(), SimConfig()
-    p.add_argument("--alpha", type=float, default=anneal.alpha, help="plan policy exponent")
-    p.add_argument("--sa-r", type=float, default=anneal.r, dest="sa_r")
-    p.add_argument("--sa-n", type=int, default=anneal.n_cooling, dest="sa_n")
-    p.add_argument("--sa-m", type=int, default=anneal.m_steps, dest="sa_m")
+    sim = SimConfig()
+    p.add_argument("--alpha", type=float, default=sim.alpha, help="plan policy exponent")
     p.add_argument("--seed", type=_seed, default=env_seed)
     p.add_argument("--io-model", choices=["on", "off"], default=sim.io_model)
-    p.add_argument("--tick", type=int, default=sim.tick_period_s, help="scheduler period [s]")
+    p.add_argument("--tick", type=int, default=sim.tick_period_s, dest="tick_period_s",
+                   help="scheduler period [s]")
     p.add_argument("--trace", help="write a JSON-lines event trace here")
     p.add_argument("-o", "--output", required=True, help="records CSV path")
     p.add_argument("--manifest", default="manifest.json", help="run manifest path")

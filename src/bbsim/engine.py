@@ -31,11 +31,12 @@ has its tick's time, and the job's own in "submit", so lines run in time order.
 from __future__ import annotations
 
 import heapq
+import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 from .availability import (
     AvailabilityProfile,
@@ -44,7 +45,7 @@ from .availability import (
     allocate_nodes,
 )
 from .metrics import JobRecord
-from .planner import AnnealConfig, SearchStats, plan_schedule
+from .planner import MAX_ALPHA, SearchStats, plan_schedule
 from .platform import Platform
 from .policies import POLICY_NAMES, SchedulerState, run_policy
 from .workload import JobSpec, phase_durations
@@ -59,15 +60,28 @@ SCHEDULER_TICK = 4
 
 @dataclass
 class SimConfig:
+    """Run settings. seed and alpha, the exponent of plan's score, are read only
+    by the plan policy but checked for every policy. alpha is at most MAX_ALPHA
+    so that no score overflows while waits stay below 2**53 s (285 million
+    years), the range in which every float(wait) is exact: such a wait to the
+    16th is below 2**848, so the sum of wait**alpha over any queue shorter than
+    2**176 jobs stays below 2**1024."""
     tick_period_s: int = 60
     io_model: str = "on"  # "on" | "off"
     seed: int = 0
+    alpha: float = 2.0
     validate: bool = False
 
     def __post_init__(self):
         for name in ("tick_period_s", "seed"):
             if type(getattr(self, name)) is not int:  # refuses bool, an int subclass, too
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        alpha = self.alpha
+        real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+        if not real or not isfinite(alpha):  # nan and inf are not real numbers
+            raise ValueError(f"alpha must be a real number, got {alpha!r}")
+        if not 0 < alpha <= MAX_ALPHA:
+            raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {alpha!r}")
         if self.io_model not in ("on", "off"):
             raise ValueError("io_model must be 'on' or 'off'")
         if self.tick_period_s <= 0:
@@ -205,7 +219,6 @@ class Simulation:
         jobs: list[JobSpec],
         policy: str,
         sim_cfg: SimConfig | None = None,
-        anneal_cfg: AnnealConfig | None = None,
         sink=None,
     ):
         self.platform = platform
@@ -214,7 +227,6 @@ class Simulation:
         self.cfg = sim_cfg or SimConfig()
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r}")
-        self.anneal_cfg = (anneal_cfg or AnnealConfig()) if policy == "plan" else None
         self.rng = random.Random(self.cfg.seed)
 
         seen: set[int] = set()
@@ -307,7 +319,7 @@ class Simulation:
         state.now = now
         if self.policy_name == "plan":
             stats = SearchStats()
-            result = plan_schedule(state, self.anneal_cfg, self.rng, stats)
+            result = plan_schedule(state, self.cfg.alpha, self.rng, stats)
             self.plan_stats.append(stats)
         else:
             result = run_policy(state, self.policy_name, validate=self.cfg.validate)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -18,34 +17,10 @@ from .policies import CycleResult, SchedulerState, launch
 from .workload import JobSpec
 
 EXHAUSTIVE_THRESHOLD = 5  # queues up to this length are searched exhaustively
-MAX_ALPHA = 16
-
-
-@dataclass
-class AnnealConfig:
-    """Plan search settings. alpha is at most MAX_ALPHA so that no score overflows
-    while waits stay below 2**53 s (285 million years), the range in which every
-    float(wait) is exact: such a wait to the 16th is below 2**848, so the sum of
-    wait**alpha over any queue shorter than 2**176 jobs stays below 2**1024."""
-    alpha: float = 2.0
-    r: float = 0.9  # cooling rate
-    n_cooling: int = 30
-    m_steps: int = 6  # constant-temperature steps
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            # type(...) is int refuses bool, an int subclass, too
-            if name in ("n_cooling", "m_steps") and type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not real or not math.isfinite(value):  # nan and inf are not real numbers
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0 < self.r < 1:
-            raise ValueError("cooling rate must be in (0, 1)")
-        if self.n_cooling < 1 or self.m_steps < 1:
-            raise ValueError("cooling/constant-temperature steps must be >= 1")
-        if not 0 < self.alpha <= MAX_ALPHA:
-            raise ValueError(f"alpha must be in (0, {MAX_ALPHA}], got {self.alpha!r}")
+COOLING_RATE = 0.9  # the temperature's factor after each cooling step
+N_COOLING = 30  # cooling steps
+M_STEPS = 6  # swaps tried at each temperature
+MAX_ALPHA = 16  # see SimConfig.alpha
 
 
 class ExecutionPlan(NamedTuple):
@@ -166,7 +141,7 @@ def anneal(
     queue: list[JobSpec],
     profile: AvailabilityProfile,
     now: int,
-    cfg: AnnealConfig,
+    alpha: float,
     rng: random.Random,
     stats: SearchStats | None = None,
 ) -> ExecutionPlan:
@@ -176,15 +151,15 @@ def anneal(
     skipped entirely when the spread is zero. The incumbent plan, which holds
     its job order, is kept between steps, so each inner step swaps two jobs of
     a copy of that order and constructs exactly one new plan:
-    n_cooling * m_steps + 9 constructions total with defaults (189), each of
-    which scans every job.
+    N_COOLING * M_STEPS + 9 = 189 constructions in all, each of which scans
+    every job.
     """
     if stats is None:
         stats = SearchStats()
     stats.method = "anneal"
     rows = demands(queue, profile, now)
     candidates = [
-        build_plan(order, profile, cfg.alpha, stats) for order in initial_candidates(rows)
+        build_plan(order, profile, alpha, stats) for order in initial_candidates(rows)
     ]
     best = min(candidates, key=lambda p: p.score)
     worst = max(candidates, key=lambda p: p.score)
@@ -195,28 +170,28 @@ def anneal(
     temperature = worst.score - best.score
     current = best
     n = len(queue)
-    for _ in range(cfg.n_cooling):
-        for _ in range(cfg.m_steps):
+    for _ in range(N_COOLING):
+        for _ in range(M_STEPS):
             i = rng.randrange(n)
             j = rng.randrange(n - 1)
             if j >= i:
                 j += 1
             new_jobs = list(current.jobs)
             new_jobs[i], new_jobs[j] = new_jobs[j], new_jobs[i]
-            plan = build_plan(new_jobs, profile, cfg.alpha, stats)
+            plan = build_plan(new_jobs, profile, alpha, stats)
             if plan.score < best.score:
                 best = current = plan
             elif plan.score < current.score or rng.random() < math.exp(
                 (current.score - plan.score) / temperature
             ):
                 current = plan
-        temperature *= cfg.r
+        temperature *= COOLING_RATE
     return best
 
 
 def plan_schedule(
     state: SchedulerState,
-    cfg: AnnealConfig,
+    alpha: float,
     rng: random.Random,
     stats: SearchStats | None = None,
 ) -> CycleResult:
@@ -229,9 +204,9 @@ def plan_schedule(
     if not state.queue:
         return result
     if len(state.queue) <= EXHAUSTIVE_THRESHOLD:
-        plan = exhaustive(list(state.queue.values()), state.profile, state.now, cfg.alpha, stats)
+        plan = exhaustive(list(state.queue.values()), state.profile, state.now, alpha, stats)
     else:
-        plan = anneal(list(state.queue.values()), state.profile, state.now, cfg, rng, stats)
+        plan = anneal(list(state.queue.values()), state.profile, state.now, alpha, rng, stats)
     for row, start in zip(plan.jobs, plan.placed):
         if start == state.now:
             job = state.queue[row.id]

@@ -20,7 +20,7 @@ from bbsim.cli import main as cli_main
 from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import bounded_slowdown, waiting_time
 from bbsim.planner import (
-    AnnealConfig, SearchStats, anneal, build_plan, demands, exhaustive, initial_candidates,
+    SearchStats, anneal, build_plan, demands, exhaustive, initial_candidates,
 )
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import JobSpec, synthetic_workload, write_workload
@@ -170,7 +170,7 @@ def test_annealing_budget(report):
     for seed in range(20):
         queue, profile = anneal_instance(seed, n=6 + seed % 4)
         stats = SearchStats()
-        anneal(queue, profile, 60, AnnealConfig(alpha=2), random.Random(seed), stats)
+        anneal(queue, profile, 60, 2, random.Random(seed), stats)
         if not stats.annealing_skipped:
             counts.add(stats.n_builds)
     report("annealing search budget is exactly 189 plan constructions",
@@ -206,8 +206,7 @@ def test_annealing_quality(report):
     never_worse = True
     for seed in range(100):
         queue, profile = anneal_instance(seed)
-        cfg = AnnealConfig(alpha=2)
-        best = anneal(queue, profile, 60, cfg, random.Random(seed))
+        best = anneal(queue, profile, 60, 2, random.Random(seed))
         cand = min(build_plan(order, profile, 2).score
                    for order in initial_candidates(demands(queue, profile, 60)))
         if best.score > cand:

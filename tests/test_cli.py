@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from dataclasses import replace
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from bbsim.cli import CONFIG_KEYS, build_parser, main
 from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import read_records
-from bbsim.planner import MAX_ALPHA, AnnealConfig
+from bbsim.planner import MAX_ALPHA
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import (
     JobSpec, PART_SECONDS, read_workload, synthetic_workload, write_workload,
@@ -262,13 +263,87 @@ def test_a_failed_simulate_keeps_the_earlier_records_and_manifest(
     assert json.loads(manifest.read_text())["config"]["policy"] == "fcfs"
 
 
+@pytest.mark.parametrize("first, second", [
+    ("--workload", "-o"), ("--workload", "--manifest"), ("--workload", "--trace"),
+    ("--config", "-o"), ("--config", "--manifest"), ("--config", "--trace"),
+    ("-o", "--manifest"), ("-o", "--trace"), ("--manifest", "--trace"),
+])
+def test_simulate_refuses_an_output_on_another_path_and_touches_no_file(
+        tmp_path, table1_workload, table1_config, capsys, first, second):
+    """An output on an input or on another output would leave only the file
+    written last; the run is refused before any file is opened."""
+    paths = {"--workload": str(table1_workload), "--config": str(table1_config),
+             "-o": str(tmp_path / "r.csv"), "--manifest": str(tmp_path / "m.json"),
+             "--trace": str(tmp_path / "t.jsonl")}
+    argv = ["simulate", "--io-model", "off"]
+    assert main(argv + [arg for flag_path in paths.items() for arg in flag_path]) == 0
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    directory, name = os.path.split(paths[first])
+    paths[second] = os.path.join(directory, ".", name)  # another spelling of the same file
+    capsys.readouterr()
+    assert main(argv + [arg for flag_path in paths.items() for arg in flag_path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {first} and {second} name the same file: {paths[second]}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag", ["-o", "--trace"])
+def test_from_manifest_refuses_an_output_on_the_manifest(tmp_path, table1_workload,
+                                                         table1_config, capsys, flag):
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    manifest = tmp_path / "manifest.json"
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = ["simulate", "--from-manifest", str(manifest), "-o", str(tmp_path / "replay.csv")]
+    assert main(argv + [flag, str(manifest)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --from-manifest and {flag} name the same file: {manifest}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_manifest_hashes_the_workload_bytes_the_run_read(tmp_path, table1_workload,
+                                                         table1_config, capsys, monkeypatch):
+    """A workload edited while the run goes does not get into the manifest: its
+    hash is that of the bytes the jobs were read from, so a replay of the
+    edited file is refused."""
+    read = hashlib.sha256(table1_workload.read_bytes()).hexdigest()
+    run = Simulation.run
+
+    def run_and_add_a_job(self):
+        with open(table1_workload, "a") as f:
+            f.write(json.dumps({"id": 99, "submit_time": 0, "runtime": 60, "walltime": 60,
+                                "n_procs": 1, "bb_total_bytes": 0}) + "\n")
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", run_and_add_a_job)
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    assert json.loads((tmp_path / "manifest.json").read_text())["workload_sha256"] == read
+    monkeypatch.undo()
+    with open(table1_workload) as f:
+        assert 99 in {job.id for job in read_workload(f)[0]}  # the edit is a valid job
+    capsys.readouterr()
+    assert main(["simulate", "--from-manifest", str(tmp_path / "manifest.json"),
+                 "-o", str(tmp_path / "replay.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "error: workload file changed since the manifest was written\n")
+    assert not (tmp_path / "replay.csv").exists()
+
+
+def test_simulate_non_plan_policy_checks_alpha(tmp_path, table1_workload, capsys):
+    """alpha is checked under every policy, so no manifest holds a NaN, which
+    is not JSON."""
+    assert main(["simulate", "--workload", str(table1_workload), "--policy", "fcfs",
+                 "--alpha", "nan", "-o", str(tmp_path / "r.csv"),
+                 "--manifest", str(tmp_path / "m.json")]) == 1
+    assert capsys.readouterr().err == "error: alpha must be a real number, got nan\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["table1.jsonl"]
+
+
 def test_simulate_defaults_are_the_config_defaults(monkeypatch):
     monkeypatch.setenv("BBSIM_SEED", "7")
     args = build_parser().parse_args(["simulate", "-o", "r.csv"])
-    anneal, sim = AnnealConfig(), SimConfig()
-    assert (args.alpha, args.sa_r, args.sa_n, args.sa_m) == (
-        anneal.alpha, anneal.r, anneal.n_cooling, anneal.m_steps)
-    assert (args.io_model, args.tick) == (sim.io_model, sim.tick_period_s)
+    sim = SimConfig()
+    assert (args.alpha, args.io_model, args.tick_period_s) == (
+        sim.alpha, sim.io_model, sim.tick_period_s)
     assert args.seed == 7
 
 
@@ -443,12 +518,8 @@ def test_from_manifest_non_integer_tick_or_seed_is_input_error(
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("sa_n", "30", "n_cooling must be an integer"),
-    ("sa_m", 1.5, "m_steps must be an integer"),
-    ("sa_m", True, "m_steps must be an integer"),
     ("alpha", "2", "alpha must be a real number"),
     ("alpha", 100.0, f"alpha must be in (0, {MAX_ALPHA}], got 100.0"),
-    ("sa_r", True, "r must be a real number"),
 ])
 def test_from_manifest_wrong_anneal_field_type_is_input_error(
         tmp_path, table1_workload, table1_config, capsys, key, value, message):
@@ -554,6 +625,28 @@ def test_plan_alpha_at_bound_runs(tmp_path, pressure_prefix):
     assert simulate_plan(tmp_path, pressure_prefix, MAX_ALPHA) == 0
     with open(tmp_path / "plan.csv") as f:
         assert len(read_records(f)) == 40
+
+
+def test_from_manifest_replays_a_manifest_with_the_old_schedule_keys(tmp_path, pressure_prefix,
+                                                                    capsys):
+    """Manifests written while the annealing schedule could be set carry it;
+    they replay if it is the fixed one and are refused, naming the key, if not."""
+    assert simulate_plan(tmp_path, pressure_prefix, 2) == 0
+    manifest = json.loads((tmp_path / "m.json").read_text())
+    manifest["config"].update(sa_r=0.9, sa_n=30, sa_m=6)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(manifest))
+    replay = tmp_path / "replay.csv"
+    assert main(["simulate", "--from-manifest", str(old), "-o", str(replay)]) == 0
+    assert replay.read_bytes() == (tmp_path / "plan.csv").read_bytes()
+    manifest["config"]["sa_n"] = 31
+    old.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    replay.unlink()
+    assert main(["simulate", "--from-manifest", str(old), "-o", str(replay)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {old}: config 'sa_n' must be 30: the annealing schedule is fixed\n")
+    assert not replay.exists()
 
 
 def test_plan_workload_whose_waits_could_reach_2_to_53_is_input_error(tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbsim.engine import FairShareLink, NodeBinding, SimConfig, Simulation
-from bbsim.planner import AnnealConfig
+from bbsim.planner import MAX_ALPHA
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.policies import POLICY_NAMES
 from bbsim.workload import JobSpec, synthetic_workload
@@ -88,6 +88,18 @@ def test_infeasible_job_rejected():
 def test_unknown_policy_rejected(policy):
     with pytest.raises(ValueError, match=f"unknown policy {policy!r}"):
         Simulation(small_platform(), [one_job()], policy)
+
+
+@pytest.mark.parametrize("alpha", ["2", True, None, math.nan, math.inf])
+def test_sim_config_rejects_alpha_that_is_not_a_real_number(alpha):
+    with pytest.raises(ValueError, match="^alpha must be a real number, got "):
+        SimConfig(alpha=alpha)
+
+
+@pytest.mark.parametrize("alpha", [0, -1.0, MAX_ALPHA + 0.5, 100])
+def test_sim_config_rejects_alpha_out_of_range(alpha):
+    with pytest.raises(ValueError, match=rf"^alpha must be in \(0, {MAX_ALPHA}\], got "):
+        SimConfig(alpha=alpha)
 
 
 def test_three_phase_lifecycle_timeline():
@@ -227,7 +239,7 @@ def test_workload_whose_waits_could_reach_2_to_53_is_refused():
     small = 8 + 2 * 60 * 35 + 8 * 60
     with pytest.raises(ValueError, match=rf"^workload too long: .* is {2 * 10**20 + small} s, "
                                          r"must be below 2\*\*53 s$"):
-        Simulation(platform, huge_first_job(10**20), "plan", IO_OFF, AnnealConfig(alpha=16))
+        Simulation(platform, huge_first_job(10**20), "plan", replace(IO_OFF, alpha=16))
     walltime = (2**53 - small) // 2
     Simulation(platform, huge_first_job(walltime - 1), "plan", IO_OFF)  # just below
     with pytest.raises(ValueError, match="workload too long"):

@@ -6,8 +6,6 @@ import pytest
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.planner import (
-    MAX_ALPHA,
-    AnnealConfig,
     SearchStats,
     anneal,
     build_plan,
@@ -102,26 +100,6 @@ def test_build_plan_deterministic():
     assert plans[0] == plans[1]
 
 
-@pytest.mark.parametrize("field, value, kind", [
-    ("n_cooling", "30", "an integer"), ("n_cooling", 1.5, "an integer"),
-    ("n_cooling", True, "an integer"), ("m_steps", 1.5, "an integer"),
-    ("m_steps", True, "an integer"), ("alpha", "2", "a real number"),
-    ("alpha", True, "a real number"), ("r", "0.9", "a real number"),
-    ("r", None, "a real number"), ("r", False, "a real number"),
-    ("alpha", math.nan, "a real number"), ("alpha", math.inf, "a real number"),
-    ("r", math.nan, "a real number"),
-])
-def test_anneal_config_rejects_wrong_field_types(field, value, kind):
-    with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
-        AnnealConfig(**{field: value})
-
-
-@pytest.mark.parametrize("alpha", [0, -1.0, MAX_ALPHA + 0.5, 100])
-def test_anneal_config_rejects_alpha_out_of_range(alpha):
-    with pytest.raises(ValueError, match=rf"^alpha must be in \(0, {MAX_ALPHA}\], got "):
-        AnnealConfig(alpha=alpha)
-
-
 def test_initial_candidates_identical_jobs():
     queue = [job(i) for i in range(1, 5)]
     for cand in initial_candidates(queue):
@@ -189,8 +167,7 @@ def test_anneal_budget_is_189():
     queue = heterogeneous_queue(8)
     profile = AvailabilityProfile(8, 10)
     stats = SearchStats()
-    cfg = AnnealConfig(alpha=2)
-    anneal(queue, profile, 50, cfg, random.Random(0), stats)
+    anneal(queue, profile, 50, 2, random.Random(0), stats)
     assert not stats.annealing_skipped
     assert stats.n_builds == 9 + 30 * 6 == 189
 
@@ -216,7 +193,7 @@ def test_anneal_earliest_slot_budget(monkeypatch):
     monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
     monkeypatch.setattr(AvailabilityProfile, "place", counting_place)
     stats = SearchStats()
-    anneal(heterogeneous_queue(8), base, 50, AnnealConfig(alpha=2), random.Random(0), stats)
+    anneal(heterogeneous_queue(8), base, 50, 2, random.Random(0), stats)
     assert stats.n_builds == 189
     assert calls == {"bounds": 8, "searched": stats.n_builds * 8}
 
@@ -248,21 +225,20 @@ def test_anneal_skipped_for_identical_jobs():
     queue = [job(i, walltime=50) for i in range(1, 7)]
     profile = AvailabilityProfile(1, 0)
     stats = SearchStats()
-    plan = anneal(queue, profile, 0, AnnealConfig(alpha=2), random.Random(0), stats)
+    plan = anneal(queue, profile, 0, 2, random.Random(0), stats)
     assert stats.annealing_skipped
     assert stats.n_builds == 9
     assert plan.permutation == (1, 2, 3, 4, 5, 6)
 
 
 def test_anneal_never_worse_than_candidates():
-    cfg = AnnealConfig(alpha=2)
     for seed in range(10):
         queue = heterogeneous_queue(8, seed=seed)
         profile = AvailabilityProfile(8, 10)
         stats = SearchStats()
-        best = anneal(queue, profile, 50, cfg, random.Random(seed), stats)
+        best = anneal(queue, profile, 50, 2, random.Random(seed), stats)
         candidate_scores = [
-            build_plan(order, profile, cfg.alpha).score
+            build_plan(order, profile, 2).score
             for order in initial_candidates(demands(queue, profile, 50))
         ]
         assert best.score <= min(candidate_scores)
@@ -284,7 +260,7 @@ class NeverAcceptRandom:
 def test_metropolis_rejects_worse_when_draw_is_high():
     queue = heterogeneous_queue(8)
     profile = AvailabilityProfile(8, 10)
-    best = anneal(queue, profile, 50, AnnealConfig(alpha=2), NeverAcceptRandom(0))
+    best = anneal(queue, profile, 50, 2, NeverAcceptRandom(0))
     candidate_best = min(
         build_plan(order, profile, 2).score
         for order in initial_candidates(demands(queue, profile, 50))
@@ -304,7 +280,7 @@ def test_plan_schedule_exhaustive_path_and_future_reservation():
     j3 = table1_job(*TABLE1[2])
     state = SchedulerState(queue={3: j3}, profile=profile, now=1 * MIN)
     assert exhaustive([j3], profile, 1 * MIN, 2).starts[3] == 10 * MIN
-    result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
+    result = plan_schedule(state, 2, random.Random(0))
     assert result.launched == []
     expected = AvailabilityProfile(4, 10 * TB)
     expected.add(0, 10 * MIN, 1, 4 * TB)
@@ -317,7 +293,7 @@ def test_plan_schedule_launches_now_jobs():
     state = SchedulerState(
         queue={1: job(1), 2: job(2)}, profile=AvailabilityProfile(4, 0), now=0
     )
-    result = plan_schedule(state, AnnealConfig(alpha=2), random.Random(0))
+    result = plan_schedule(state, 2, random.Random(0))
     assert sorted(j.id for j in result.launched) == [1, 2]
     assert state.queue == {}
     expected = AvailabilityProfile(4, 0)
@@ -328,7 +304,7 @@ def test_plan_schedule_launches_now_jobs():
 
 def test_plan_schedule_empty_queue_is_noop():
     state = SchedulerState(queue={}, profile=AvailabilityProfile(4, 0), now=0)
-    result = plan_schedule(state, AnnealConfig(), random.Random(0))
+    result = plan_schedule(state, 2, random.Random(0))
     assert result.launched == []
 
 

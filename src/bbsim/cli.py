@@ -60,6 +60,15 @@ def _seed(text: str, least: float = -math.inf) -> int:
     raise argparse.ArgumentTypeError(f"{source}must be {rule}, got {text!r}")
 
 
+class _Given(argparse.Action):
+    """Store the value, and add the flag to the namespace's given: a flag on the
+    command line is told apart from one left at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = (*namespace.given, self.option_strings[0])
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error is an input error: exit 1, not argparse's 2
         self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
@@ -89,6 +98,7 @@ def _read(path: str, reader, data: bytes | None = None):
 
 
 def cmd_convert(args) -> int:
+    _refuse_shared_paths({"swf": args.swf}, {"-o": args.output})
     model = LogNormalModel(mu=args.mu, sigma=args.sigma)
     result = _read(args.swf, parse_swf)
     jobs = synthesize_bb(result.jobs, model, args.seed)
@@ -228,6 +238,9 @@ def _run_simulation(config: dict, workload: bytes, records_path: str,
 
 def cmd_simulate(args) -> int:
     if args.from_manifest:
+        if args.given:  # each is in the manifest's config, or names the manifest written
+            raise InputError(f"--from-manifest runs the manifest as it is and takes no "
+                             f"{', '.join(dict.fromkeys(args.given))}")
         manifest = _load_json(args.from_manifest)
         if not isinstance(manifest, dict) or not {"config", "workload_sha256"} <= manifest.keys():
             raise InputError(
@@ -356,6 +369,7 @@ def _is_count(value) -> bool:
 
 
 def cmd_gantt(args) -> int:
+    _refuse_shared_paths({"trace": args.trace}, {"-o": args.output})
     if args.first is not None and args.first < 1:
         raise InputError(f"--first must be at least 1, got {args.first}")
     binding = None  # the platform line's; launches take from it and ends give back, in file order
@@ -438,21 +452,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("simulate", help="run one policy over a workload")
-    p.add_argument("--workload", help="bbsim workload file")
-    p.add_argument("--config", help="JSON config file (platform section)")
-    p.add_argument("--policy", default="fcfs-bb",
+    # --from-manifest refuses the _Given flags: it reads their values from the manifest
+    p.add_argument("--workload", action=_Given, help="bbsim workload file")
+    p.add_argument("--config", action=_Given, help="JSON config file (platform section)")
+    p.add_argument("--policy", action=_Given, default="fcfs-bb",
                    choices=POLICY_NAMES)
     sim = SimConfig()
-    p.add_argument("--alpha", type=float, default=sim.alpha, help="plan policy exponent")
-    p.add_argument("--seed", type=_seed, default=env_seed)
-    p.add_argument("--io-model", choices=["on", "off"], default=sim.io_model)
-    p.add_argument("--tick", type=int, default=sim.tick_period_s, dest="tick_period_s",
-                   help="scheduler period [s]")
+    p.add_argument("--alpha", action=_Given, type=float, default=sim.alpha,
+                   help="plan policy exponent")
+    p.add_argument("--seed", action=_Given, type=_seed, default=env_seed)
+    p.add_argument("--io-model", action=_Given, choices=["on", "off"], default=sim.io_model)
+    p.add_argument("--tick", action=_Given, type=int, default=sim.tick_period_s,
+                   dest="tick_period_s", help="scheduler period [s]")
     p.add_argument("--trace", help="write a JSON-lines event trace here")
     p.add_argument("-o", "--output", required=True, help="records CSV path")
-    p.add_argument("--manifest", default="manifest.json", help="run manifest path")
+    p.add_argument("--manifest", action=_Given, default="manifest.json",
+                   help="run manifest path")
     p.add_argument("--from-manifest", help="re-run a previous simulation bit-for-bit")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, given=())
 
     p = sub.add_parser("analyze", help="summarize record CSVs")
     p.add_argument("records", nargs="+", help="record CSVs (one or more policies)")

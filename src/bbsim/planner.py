@@ -1,12 +1,13 @@
 """Plan-based scheduling: permutation plans scored by sum of waiting times^alpha,
 searched exhaustively for small queues or by simulated annealing seeded with
-nine heuristic orderings. A build is one AvailabilityProfile.place call on a
-copy of the profile, which finds and takes every job's slot in turn.
+nine heuristic orderings. The exhaustive search walks the permutation tree
+depth first, so orders that share a prefix place it once. An annealing build
+is one AvailabilityProfile.place call on a copy of the profile, which finds
+and takes every job's slot in turn.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -41,6 +42,9 @@ class ExecutionPlan(NamedTuple):
 
 @dataclass
 class SearchStats:
+    """n_builds counts the orders a search considers: q! for an exhaustive
+    search, which places only the prefixes its cut leaves, and 189 for an
+    annealed one (9 if annealing is skipped)."""
     n_builds: int = 0
     method: str = ""
     annealing_skipped: bool = False
@@ -63,7 +67,7 @@ class Demand(NamedTuple):
     walltime: int
     not_before: int  # the job's earliest slot on the profile the search starts from
     id: int
-    submit_time: int
+    submit_time: int  # at most the search's now, so every wait is >= 0
 
 
 def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> list[Demand]:
@@ -71,14 +75,18 @@ def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> lis
 
     A build only adds demand to a copy of profile, so no time before a job's
     not_before fits it on the copy either: searching from not_before finds
-    the same slot as searching from now.
+    the same slot as searching from now. A job submitted after now is refused:
+    its wait could be negative, and exhaustive's cut needs every wait >= 0.
     """
-    return [
-        Demand(j.n_procs, j.bb_total, j.walltime,
-               profile.earliest_slot(j.n_procs, j.bb_total, j.walltime, now),
-               j.id, j.submit_time)
-        for j in queue
-    ]
+    slot = profile.earliest_slot
+    rows = []
+    for j in queue:
+        if j.submit_time > now:
+            raise ValueError(f"job {j.id} is submitted at {j.submit_time}, after now ({now})")
+        n_procs, bb_total, walltime = j.n_procs, j.bb_total, j.walltime
+        rows.append(Demand(n_procs, bb_total, walltime, slot(n_procs, bb_total, walltime, now),
+                           j.id, j.submit_time))
+    return rows
 
 
 def build_plan(
@@ -120,20 +128,48 @@ def exhaustive(
     alpha: float,
     stats: SearchStats | None = None,
 ) -> ExecutionPlan:
-    """Minimal-score plan over all |Q|! permutations.
+    """Minimal-score plan over all |Q|! permutations, searched depth first.
 
-    Iteration is in lexicographic order of arrival indices with strict
-    improvement, so score ties resolve to the lexicographically smallest
-    permutation.
+    A node of the permutation tree takes its row's slot on a copy of its
+    parent's profile and adds the row's wait to its parent's partial score,
+    left to right as score does; a leaf only looks up its row's slot. Every
+    wait is >= 0 (see demands), and adding a float >= 0 never makes a float
+    sum smaller, so a node whose partial score is already at least the best
+    complete score has no order below it that scores lower, and is cut.
+    Children follow arrival order, so orders are visited in lexicographic
+    order of arrival indices, and a leaf replaces the best only with a
+    strictly lower score: ties resolve to the lexicographically smallest
+    permutation, the plan the loop over every permutation returns.
     """
-    best: ExecutionPlan | None = None
-    for perm in itertools.permutations(demands(queue, profile, now)):
-        plan = build_plan(list(perm), profile, alpha, stats)
-        if best is None or plan.score < best.score:
-            best = plan
-    assert best is not None, "empty queue"
+    rows = demands(queue, profile, now)
     if stats is not None:
+        stats.n_builds += math.factorial(len(rows))
         stats.method = "exhaustive"
+    # scores are finite (see SimConfig.alpha), so the first complete order
+    # always replaces this one
+    best = ExecutionPlan((), [], math.inf)
+
+    def extend(work, partial: float, rest: tuple[Demand, ...], jobs: tuple, starts: tuple):
+        """Visit the node whose profile is work, which has placed jobs at starts
+        and has rest left to place."""
+        nonlocal best
+        if len(rest) == 1:  # a leaf
+            (row,) = rest
+            start = work.earliest_slot(row.n_procs, row.bb_total, row.walltime, row.not_before)
+            total = partial + float(start - row.submit_time) ** alpha
+            if total < best.score:
+                best = ExecutionPlan((*jobs, row), [*starts, start], total)
+            return
+        for k, row in enumerate(rest):
+            child = work.copy()
+            start = child.earliest_slot(row.n_procs, row.bb_total, row.walltime,
+                                        row.not_before, True)
+            total = partial + float(start - row.submit_time) ** alpha
+            if total < best.score:  # else no order below child scores lower
+                extend(child, total, rest[:k] + rest[k + 1:], (*jobs, row), (*starts, start))
+
+    extend(profile, 0.0, tuple(rows), (), ())
+    assert best.jobs, "empty queue"
     return best
 
 

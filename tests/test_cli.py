@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from bbsim import cli
 from bbsim.cli import CONFIG_KEYS, build_parser, main
 from bbsim.engine import SimConfig, Simulation
 from bbsim.metrics import read_records
@@ -300,6 +301,50 @@ def test_from_manifest_refuses_an_output_on_the_manifest(tmp_path, table1_worklo
     assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
+@pytest.mark.parametrize("given", [
+    *([flag_value] for flag_value in [
+        ("--workload", "table1.jsonl"), ("--config", "platform.json"),
+        ("--policy", "fcfs-bb"), ("--alpha", "2.0"), ("--seed", "0"), ("--io-model", "on"),
+        ("--tick", "60"), ("--manifest", "manifest.json"),
+    ]),
+    [("--manifest", "new.json"), ("--policy", "plan"), ("--manifest", "m.json")],
+])
+def test_from_manifest_refuses_a_flag_it_would_ignore(tmp_path, table1_workload, table1_config,
+                                                      capsys, given):
+    """The manifest's config is the run's, and a replay writes no manifest: a
+    flag that would set either is refused, also when it is given its default."""
+    simulate_table1(tmp_path, table1_workload, table1_config, "first.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    argv = ["simulate", "--from-manifest", str(tmp_path / "manifest.json"),
+            "-o", str(tmp_path / "replay.csv")]
+    assert main(argv + [arg for flag_value in given for arg in flag_value]) == 1
+    flags = ", ".join(dict.fromkeys(flag for flag, _ in given))
+    assert capsys.readouterr().err == (
+        f"error: --from-manifest runs the manifest as it is and takes no {flags}\n")
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, source", [("convert", "swf"), ("gantt", "trace")])
+def test_convert_and_gantt_refuse_an_output_on_their_input(tmp_path, swf_file, table1_workload,
+                                                           table1_config, capsys, monkeypatch,
+                                                           command, source):
+    """An output on the input would replace it; the command is refused before it
+    opens any file."""
+    if command == "convert":
+        path = swf_file
+    else:
+        simulate_table1(tmp_path, table1_workload, table1_config, "r.csv", trace="t.jsonl")
+        path = tmp_path / "t.jsonl"
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    output = os.path.join(path.parent, ".", path.name)  # another spelling of the same file
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "open", lambda *args: pytest.fail("opened a file"), raising=False)
+    assert main([command, str(path), "-o", output]) == 1
+    assert capsys.readouterr().err == f"error: {source} and -o name the same file: {output}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_manifest_hashes_the_workload_bytes_the_run_read(tmp_path, table1_workload,
                                                          table1_config, capsys, monkeypatch):
     """A workload edited while the run goes does not get into the manifest: its
@@ -579,14 +624,14 @@ DEEP_JSON = "[" * 200_000 + "]" * 200_000
 def test_simulate_json_nested_too_deep_is_input_error(tmp_path, table1_workload,
                                                       table1_config, capsys, kind):
     path = tmp_path / "deep.json"
-    argv = ["simulate", "-o", str(tmp_path / "out.csv"),
-            "--manifest", str(tmp_path / "m.json")]
+    argv = ["simulate", "-o", str(tmp_path / "out.csv")]
     if kind == "workload":
         path.write_text(table1_workload.read_text() + DEEP_JSON + "\n")
-        argv += ["--workload", str(path)]
+        argv += ["--workload", str(path), "--manifest", str(tmp_path / "m.json")]
     else:
         path.write_text(DEEP_JSON)
-        argv += (["--workload", str(table1_workload), "--config", str(path)]
+        argv += (["--workload", str(table1_workload), "--config", str(path),
+                  "--manifest", str(tmp_path / "m.json")]
                  if kind == "config" else ["--from-manifest", str(path)])
     assert main(argv) == 1
     err = capsys.readouterr().err

@@ -15,8 +15,9 @@ that finished first. A phase end never finds its job killed.
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
 queue drops a launched job by its id, so no run compares two jobs. So is the
-plan search's logical work: its plan builds, earliest-slot searches and
-placements, which a faster build must leave as they are.
+plan search's work: its annealing builds and its slot scans. The exhaustive
+search places each order prefix once and cuts a prefix that cannot win, so a
+change to what it places or cuts moves these pins, and says so.
 
 Event times count whole units of 1/lcm(link bandwidths) s, so the only
 times that are not ints are link completions shared by transfers; their
@@ -226,16 +227,17 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
 
 
-# (build_plan builds, slot scans, add calls) of each plan run. Each build is one
-# place call, which finds and takes the slot of every job but the last, and
-# finds that last job's slot without taking it; earliest_slot finds each
-# search's per-job lower bounds. Slot scans are the rows all place calls
-# receive plus the earliest_slot calls. add only launches jobs, once per job of
-# the run.
+# (build_plan builds, slot scans, add calls) of each plan run. Only anneal
+# calls build_plan; each build is one place call, which finds and takes the
+# slot of every job but the last, and finds that last job's slot without taking
+# it. earliest_slot finds each search's per-job lower bounds and each node of
+# exhaustive's permutation tree that the cut leaves: with take at an inner node,
+# without at a leaf. Slot scans are the rows all place calls receive plus the
+# earliest_slot calls. add only launches jobs, once per job of the run.
 PLAN_WORK = {
-    "backfill-pressure": (3403, 25970, 60),
-    "io-lifecycle": (479, 2102, 60),
-    "plan-anneal": (14798, 137957, 120),
+    "backfill-pressure": (2835, 24715, 60),
+    "io-lifecycle": (18, 1231, 60),
+    "plan-anneal": (13608, 135615, 120),
 }
 
 

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.planner import (
@@ -156,6 +158,49 @@ def test_exhaustive_tie_break_is_lexicographic():
     queue = [job(i) for i in (1, 2, 3)]
     plan = exhaustive(queue, AvailabilityProfile(1, 0), 0, 1)
     assert plan.permutation == (1, 2, 3)
+
+
+def permutation_loop(queue, profile, now, alpha):
+    """The reference exhaustive search: every order built on a fresh copy, in
+    lexicographic order of arrival indices, the first taken and then a
+    strictly lower score."""
+    best = None
+    for perm in itertools.permutations(demands(queue, profile, now)):
+        plan = build_plan(list(perm), profile, alpha)
+        if best is None or plan.score < best.score:
+            best = plan
+    return best
+
+
+@given(
+    held=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 60), st.integers(0, 4),
+                            st.integers(0, 3)), max_size=6),
+    shapes=st.lists(st.tuples(st.integers(0, 20), st.sampled_from([10, 20, 30]),  # submit, walltime,
+                              st.integers(1, 4), st.integers(0, 3)),  # procs, bb
+                    min_size=1, max_size=3),
+    picks=st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    alpha=st.sampled_from([0.5, 1, 2, 2.5, 16]),
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_exhaustive_is_the_permutation_loop(held, shapes, picks, alpha):
+    """The same rows, starts and score, ties included: jobs picked from at most
+    three shapes are often identical, so many orders tie."""
+    profile = AvailabilityProfile(4, 3)
+    for start, duration, procs, bb in held:
+        if profile.has_capacity(procs, bb, start, start + duration):
+            profile.add(start, start + duration, procs, bb)
+    queue = [job(jid, *shapes[pick % len(shapes)]) for jid, pick in enumerate(picks, 1)]
+    plan = exhaustive(queue, profile, 20, alpha)
+    reference = permutation_loop(queue, profile, 20, alpha)
+    assert (plan.jobs, plan.placed, plan.score) == (
+        reference.jobs, reference.placed, reference.score)
+
+
+def test_demands_refuses_a_job_submitted_after_now():
+    """Refusing it keeps every wait >= 0, which the exhaustive search's cut needs."""
+    queue = [job(1, submit=30), job(2, submit=31)]
+    with pytest.raises(ValueError, match=r"^job 2 is submitted at 31, after now \(30\)$"):
+        demands(queue, AvailabilityProfile(4, 0), 30)
 
 
 def heterogeneous_queue(n=8, seed=3):

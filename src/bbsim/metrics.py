@@ -66,7 +66,7 @@ def nearest_rank_quantile(sorted_values: list[float], level: float) -> float:
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """The values added left to right from 0.0, as planner.score adds: sum()
+    """The values added left to right from 0.0, as plan scores add: sum()
     compensates float rounding from Python 3.12 on."""
     total = 0.0
     for v in values:

@@ -2,14 +2,15 @@
 searched exhaustively for small queues or by simulated annealing seeded with
 nine heuristic orderings. The exhaustive search walks the permutation tree
 depth first, so orders that share a prefix place it once. An annealing build
-is one AvailabilityProfile.place call on a copy of the profile, which finds
-and takes every job's slot in turn.
+is one pass over a copy of the profile's steps that finds and takes every
+job's slot in turn and adds its score as it goes.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -48,20 +49,11 @@ class SearchStats:
     n_builds: int = 0
     method: str = ""
     annealing_skipped: bool = False
-
-
-def score(waits, alpha: float) -> float:
-    """The waits to the power alpha, added left to right from 0.0: sum() compensates
-    float rounding from Python 3.12 on, so it could pick another plan there."""
-    total = 0.0
-    for w in waits:
-        total += float(w) ** alpha
-    return total
+    rows_scanned: int = 0  # rows whose slot annealing builds scanned (to a swap's cut)
 
 
 class Demand(NamedTuple):
-    """A queued job as the plan search reads it, once per search. It leads with
-    the demand AvailabilityProfile.place reads."""
+    """A queued job as the plan search reads it, once per search."""
     n_procs: int
     bb_total: int
     walltime: int
@@ -94,13 +86,70 @@ def build_plan(
     profile: AvailabilityProfile,
     alpha: float,
     stats: SearchStats | None = None,
+    swap: tuple[int, int, list[int]] = (-1, -1, []),
 ) -> ExecutionPlan:
-    """Place jobs in the given order at their earliest slots on a profile copy."""
+    """Place jobs in order, each at its earliest slot on a copy of the profile's
+    steps, taken before the next (the last only found), with earliest_slot's
+    scan and _take's write inline; add each wait to the power alpha left to
+    right from 0.0 (sum() rounds otherwise from 3.12 on).
+
+    swap = (lo, hi, starts): jobs is the order planned at starts, rows lo and
+    hi swapped. If the rows now at lo and hi get each other's starts there,
+    every row between keeps its own: that start still fits, and only the row
+    then at lo could block an earlier one, but now at hi it would not fit at
+    its start beside it. So the later rows get that plan's starts unscanned,
+    and a plan so cut holds its order's starts too.
+    """
+    times, fp, fb = profile.steps()
+    placed: list[int] = []
+    total = 0.0
+    last = len(jobs) - 1
+    scanned = len(jobs)
+    lo, hi, old = swap
+    for r, row in enumerate(jobs):
+        n_procs, bb_bytes, duration, start, _, submit_time = row
+        end = start + duration
+        i = k = bisect_right(times, start) - 1
+        while times[k] < end:
+            if fp[k] < n_procs or fb[k] < bb_bytes:
+                k += 1
+                while fp[k] < n_procs or fb[k] < bb_bytes:
+                    k += 1
+                i, start = k, times[k]
+                end = start + duration
+            k += 1
+        placed.append(start)
+        total += float(start - submit_time) ** alpha
+        if r == hi and start == old[lo] and placed[lo] == old[hi]:
+            for later, at in zip(jobs[hi + 1:], old[hi + 1:]):
+                total += float(at - later.submit_time) ** alpha
+            placed += old[hi + 1:]
+            scanned = hi + 1
+            break
+        if r == last or not (n_procs or bb_bytes):
+            continue
+        if times[k] != end:
+            times.insert(k, end)
+            fp.insert(k, fp[k - 1])
+            fb.insert(k, fb[k - 1])
+        elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
+            del times[k], fp[k], fb[k]
+        if times[i] != start:
+            i += 1
+            times.insert(i, start)
+            fp.insert(i, fp[i - 1])
+            fb.insert(i, fb[i - 1])
+            k += 1
+        elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
+            del times[i], fp[i], fb[i]
+            k -= 1
+        for m in range(i, k):
+            fp[m] -= n_procs
+            fb[m] -= bb_bytes
     if stats is not None:
         stats.n_builds += 1
-    placed = profile.copy().place(jobs)
-    waits = [start - row.submit_time for row, start in zip(jobs, placed)]
-    return ExecutionPlan(tuple(jobs), placed, score(waits, alpha))
+        stats.rows_scanned += scanned
+    return ExecutionPlan(tuple(jobs), placed, total)
 
 
 def initial_candidates(queue: list[Demand]) -> list[list[Demand]]:
@@ -132,10 +181,10 @@ def exhaustive(
 
     A node of the permutation tree takes its row's slot on a copy of its
     parent's profile and adds the row's wait to its parent's partial score,
-    left to right as score does; a leaf only looks up its row's slot. Every
-    wait is >= 0 (see demands), and adding a float >= 0 never makes a float
-    sum smaller, so a node whose partial score is already at least the best
-    complete score has no order below it that scores lower, and is cut.
+    left to right as build_plan does; a leaf only looks up its row's slot.
+    Every wait is >= 0 (see demands), and adding a float >= 0 never makes a
+    float sum smaller, so a node whose partial score is already at least the
+    best complete score has no order below it that scores lower, and is cut.
     Children follow arrival order, so orders are visited in lexicographic
     order of arrival indices, and a leaf replaces the best only with a
     strictly lower score: ties resolve to the lexicographically smallest
@@ -187,8 +236,8 @@ def anneal(
     skipped entirely when the spread is zero. The incumbent plan, which holds
     its job order, is kept between steps, so each inner step swaps two jobs of
     a copy of that order and constructs exactly one new plan:
-    N_COOLING * M_STEPS + 9 = 189 constructions in all, each of which scans
-    every job.
+    N_COOLING * M_STEPS + 9 = 189 constructions in all, each cut once its
+    swap has moved no start (see build_plan).
     """
     if stats is None:
         stats = SearchStats()
@@ -214,7 +263,8 @@ def anneal(
                 j += 1
             new_jobs = list(current.jobs)
             new_jobs[i], new_jobs[j] = new_jobs[j], new_jobs[i]
-            plan = build_plan(new_jobs, profile, alpha, stats)
+            plan = build_plan(new_jobs, profile, alpha, stats,
+                              (min(i, j), max(i, j), current.placed))
             if plan.score < best.score:
                 best = current = plan
             elif plan.score < current.score or rng.random() < math.exp(

@@ -178,7 +178,11 @@ def test_annealing_budget(report):
 
 
 def pruned_optimum(queue, profile, now, alpha):
-    """Exact optimum by depth-first search with branch-and-bound pruning."""
+    """Exact optimum by depth-first search with branch-and-bound pruning. A node
+    is cut once its partial score plus each remaining job's wait from its
+    earliest slot on the node's profile reaches the best score: below the node
+    the profile only gains demand, so no job starts before that slot, and
+    every wait is >= 0."""
     best = math.inf
     prof = profile.copy()
 
@@ -187,9 +191,13 @@ def pruned_optimum(queue, profile, now, alpha):
         if not remaining:
             best = acc
             return
+        starts = [prof.earliest_slot(j.n_procs, j.bb_total, j.walltime, now) for j in remaining]
+        terms = [(start - j.submit_time) ** alpha for j, start in zip(remaining, starts)]
+        if acc + sum(terms) >= best:
+            return
         for i, j in enumerate(remaining):
-            start = prof.earliest_slot(j.n_procs, j.bb_total, j.walltime, now)
-            partial = acc + (start - j.submit_time) ** alpha
+            start = starts[i]
+            partial = acc + terms[i]
             if partial >= best:
                 continue
             held = (start, start + j.walltime, j.n_procs, j.bb_total)

@@ -15,9 +15,11 @@ that finished first. A phase end never finds its job killed.
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
 queue drops a launched job by its id, so no run compares two jobs. So is the
-plan search's work: its annealing builds and its slot scans. The exhaustive
-search places each order prefix once and cuts a prefix that cannot win, so a
-change to what it places or cuts moves these pins, and says so.
+plan search's work: its annealing builds, its earliest_slot calls and the
+rows its builds scan. The exhaustive search places each order prefix once and
+cuts a prefix that cannot win, and a swap's build stops once the swap has
+moved no start, so a change to what either places or cuts moves these pins,
+and says so.
 
 Event times count whole units of 1/lcm(link bandwidths) s, so the only
 times that are not ints are link completions shared by transfers; their
@@ -44,7 +46,9 @@ def run(workload, policy, sink=None):
     cfg = bench.bbsim.engine.SimConfig(
         io_model=bench.WORKLOADS[workload].io_model, seed=bench.SIM_SEED
     )
-    Simulation(platform, jobs[policy], policy, cfg, sink=sink).run()
+    sim = Simulation(platform, jobs[policy], policy, cfg, sink=sink)
+    sim.run()
+    return sim
 
 
 def counting(calls, name, fn):
@@ -227,37 +231,32 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
 
 
-# (build_plan builds, slot scans, add calls) of each plan run. Only anneal
-# calls build_plan; each build is one place call, which finds and takes the
-# slot of every job but the last, and finds that last job's slot without taking
-# it. earliest_slot finds each search's per-job lower bounds and each node of
-# exhaustive's permutation tree that the cut leaves: with take at an inner node,
-# without at a leaf. Slot scans are the rows all place calls receive plus the
-# earliest_slot calls. add only launches jobs, once per job of the run.
+# (build_plan builds, earliest_slot calls, rows scanned, add calls) of each
+# plan run. Only anneal calls build_plan; each build scans the rows of its job
+# order on its own copy of the profile's steps, all of them or, in a swap's
+# build, those up to its cut, and SearchStats.rows_scanned adds them up.
+# earliest_slot finds each search's per-job lower bounds and each node of
+# exhaustive's permutation tree that the cut leaves: with take at an inner
+# node, without at a leaf. add only launches jobs, once per job of the run.
 PLAN_WORK = {
-    "backfill-pressure": (2835, 24715, 60),
-    "io-lifecycle": (18, 1231, 60),
-    "plan-anneal": (13608, 135615, 120),
+    "backfill-pressure": (2835, 1468, 19620, 60),
+    "io-lifecycle": (18, 1123, 108, 60),
+    "plan-anneal": (13608, 3693, 121479, 120),
 }
 
 
 @pytest.mark.parametrize("workload", sorted(PLAN_WORK))
 def test_plan_search_work(workload, monkeypatch):
-    calls = dict.fromkeys(("build_plan", "slot_scans", "add"), 0)
+    calls = dict.fromkeys(("build_plan", "earliest_slot", "add"), 0)
     planner = bench.bbsim.planner
-    place = AvailabilityProfile.place
-
-    def counting_place(self, rows):
-        calls["slot_scans"] += len(rows)
-        return place(self, rows)
-
     monkeypatch.setattr(planner, "build_plan", counting(calls, "build_plan", planner.build_plan))
-    monkeypatch.setattr(AvailabilityProfile, "earliest_slot",
-                        counting(calls, "slot_scans", AvailabilityProfile.earliest_slot))
-    monkeypatch.setattr(AvailabilityProfile, "place", counting_place)
-    monkeypatch.setattr(AvailabilityProfile, "add", counting(calls, "add", AvailabilityProfile.add))
-    run(workload, "plan")
-    assert tuple(calls.values()) == PLAN_WORK[workload]
+    for name in ("earliest_slot", "add"):
+        monkeypatch.setattr(AvailabilityProfile, name,
+                            counting(calls, name, getattr(AvailabilityProfile, name)))
+    sim = run(workload, "plan")
+    rows_scanned = sum(stats.rows_scanned for stats in sim.plan_stats)
+    assert (calls["build_plan"], calls["earliest_slot"], rows_scanned, calls["add"]) == \
+        PLAN_WORK[workload]
     assert calls["add"] == len(inputs(workload)[1]["plan"])
 
 

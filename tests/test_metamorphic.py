@@ -3,14 +3,15 @@
 Each relation follows from the policy definitions: a change to the workload
 that takes away the only difference between two policies must make their
 records equal. Each test also checks that the two policies differ on the
-unchanged workload, so the relation is not met by accident.
+unchanged workload, so the relation is not met by accident. One relation
+holds for each policy on its own: a job's id is only its name.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from bbsim.engine import SimConfig, Simulation
+from bbsim.engine import POLICY_NAMES, SimConfig, Simulation
 from bbsim.platform import DEFAULT_BB_MODEL, PlatformConfig, build_platform
 from bbsim.workload import synthetic_workload
 
@@ -59,3 +60,21 @@ def test_with_unbounded_buffer_fcfs_bb_equals_fcfs_easy(pressure300, io_model):
         pressure300, "fcfs-bb", io_model)
     assert outcomes(pressure300, "fcfs-easy", io_model, UNBOUNDED_BB) == outcomes(
         pressure300, "fcfs-bb", io_model, UNBOUNDED_BB)
+
+
+@pytest.mark.parametrize("io_model", ["off", "on"])
+def test_job_ids_are_only_names(pressure300, io_model):
+    """With no two jobs submitted at once, no record may hang on an id: ids in
+    reverse give every policy the same records up to the relabel (plan on the
+    first 120 jobs)."""
+    distinct = []
+    for j in pressure300:
+        at = max(j.submit_time, distinct[-1].submit_time + 1) if distinct else j.submit_time
+        distinct.append(replace(j, submit_time=at))
+    assert len({j.submit_time for j in pressure300}) < len(pressure300)
+    top = max(j.id for j in distinct) + min(j.id for j in distinct)
+    for policy in POLICY_NAMES:
+        jobs = distinct[:120] if policy == "plan" else distinct
+        relabelled = [replace(j, id=top - j.id) for j in jobs]
+        assert outcomes(relabelled, policy, io_model) == {
+            top - job_id: outcome for job_id, outcome in outcomes(jobs, policy, io_model).items()}

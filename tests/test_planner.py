@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 
 from bbsim.availability import AvailabilityProfile
 from bbsim.planner import (
+    COOLING_RATE,
+    M_STEPS,
+    N_COOLING,
+    Demand,
+    ExecutionPlan,
     SearchStats,
     anneal,
     build_plan,
@@ -15,12 +20,12 @@ from bbsim.planner import (
     exhaustive,
     initial_candidates,
     plan_schedule,
-    score,
 )
 from bbsim.policies import SchedulerState
 from bbsim.workload import JobSpec
 
 from conftest import TABLE1, table1_job
+from test_profile import reservation_lists
 
 TB = 10**12
 MIN = 60
@@ -46,20 +51,31 @@ def random_queue(rng, n, now=0, procs=8, max_bb=10):
     ]
 
 
+def waits_plan(waits, alpha):
+    """The plan, in arrival order, of jobs that all start now, job k having
+    waited waits[k - 1]."""
+    now = max(waits)
+    queue = [job(k, submit=now - w) for k, w in enumerate(waits, 1)]
+    profile = AvailabilityProfile(len(waits), 0)
+    plan = build_plan(demands(queue, profile, now), profile, alpha)
+    assert plan.placed == [now] * len(waits)
+    return plan
+
+
 def test_score_arithmetic():
-    assert score([0, 0, 0], alpha=2) == 0
-    assert score([10, 20], alpha=2) == 500
-    assert score([10, 20], alpha=1) == 30
+    assert waits_plan([0, 0, 0], alpha=2).score == 0
+    assert waits_plan([10, 20], alpha=2).score == 500
+    assert waits_plan([10, 20], alpha=1).score == 30
 
 
 def test_score_adds_left_to_right_on_every_python():
     # sum() compensates float rounding from Python 3.12 on and gives 1.0000000000000002e16
-    assert score([10**8, 1, 1], 2) == 1e16
+    assert waits_plan([10**8, 1, 1], 2).score == 1e16
 
 
 def test_alpha_two_penalizes_unfairness():
     # both schedules have total wait 30, but the lopsided one scores worse
-    assert score([30, 0], 2) == 900 > score([20, 10], 2) == 500
+    assert waits_plan([30, 0], 2).score == 900 > waits_plan([20, 10], 2).score == 500
 
 
 def test_build_plan_single_job_fits_now():
@@ -100,6 +116,85 @@ def test_build_plan_deterministic():
     profile = AvailabilityProfile(8, 10)
     plans = [build_plan(demands(queue, profile, 0), profile, 2) for _ in range(2)]
     assert plans[0] == plans[1]
+
+
+def build_keeping_steps(rows, profile, alpha):
+    """build_plan's plan, and the step lists it took from profile as it left them."""
+    handed = []
+
+    def steps():
+        handed.append(AvailabilityProfile.steps(profile))
+        return handed[-1]
+
+    profile.steps = steps
+    try:
+        plan = build_plan(rows, profile, alpha)
+    finally:
+        del profile.steps
+    (kept,) = handed
+    return plan, kept
+
+
+def test_build_plan_merges_the_steps_a_window_joins():
+    """A window ending where a like demand begins, and one beginning where it
+    ends, leave no breakpoint between them."""
+    p = AvailabilityProfile(8, 10)
+    p.add(100, 200, 4, 3)
+    rows = [Demand(4, 3, 100, 0, 1, 0), Demand(4, 3, 100, 200, 2, 0), Demand(1, 0, 1, 0, 3, 0)]
+    plan, steps = build_keeping_steps(rows, p, 1)
+    assert plan.placed == [0, 200, 0]
+    assert steps == ([-math.inf, 0, 300, math.inf], [8, 4, 8, 8], [10, 7, 10, 10])
+
+
+@given(reservation_lists, st.data())
+@settings(max_examples=300)
+def test_build_plan_equals_earliest_slot_row_by_row(specs, data):
+    """build_plan's starts are those of earliest_slot with take row by row (the
+    last row's untaken) on a copy of the profile, it leaves the steps it was
+    handed as that copy's, merges included, and its score adds the waits to
+    the power alpha left to right. Rows have zero bytes and full width among
+    them, often the demand of a reservation or an earlier row, and windows
+    that start inside a step or on a breakpoint and that end on one. Built
+    again with two rows swapped and the first build's starts as the swap, it
+    gives what it gives without them, scanning no more rows."""
+    p = AvailabilityProfile(8, 10)
+    for start, dur, rp, rb in specs:
+        if p.has_capacity(rp, rb, start, start + dur):
+            p.add(start, start + dur, rp, rb)
+    breakpoints = [0, *p.breakpoints()]
+    shapes = [(8, 10), *(spec[2:] for spec in specs)]  # so that steps merge
+    rows = []
+    for k in range(data.draw(st.integers(0, 8))):
+        not_before = data.draw(st.sampled_from(breakpoints) | st.integers(0, 700))
+        to_breakpoints = [b - not_before for b in breakpoints if b > not_before]
+        durations = st.integers(1, 200)
+        if to_breakpoints:
+            durations |= st.sampled_from(to_breakpoints)
+        n_procs, bb_bytes = data.draw(st.tuples(st.integers(0, 8), st.integers(0, 10))
+                                      | st.sampled_from(shapes))
+        shapes.append((n_procs, bb_bytes))
+        rows.append(Demand(n_procs, bb_bytes, data.draw(durations), not_before, k, 0))
+    alpha = data.draw(st.sampled_from([0.5, 1, 2, 2.5]))
+    expected = p.copy()
+    last = len(rows) - 1
+    starts = [expected.earliest_slot(*row[:4], take=k < last) for k, row in enumerate(rows)]
+    total = 0.0
+    for start in starts:
+        total += float(start) ** alpha
+    before = p.copy()
+    plan, steps = build_keeping_steps(rows, p, alpha)
+    assert (plan.jobs, plan.placed, plan.score) == (tuple(rows), starts, total)
+    assert steps == expected.steps()
+    assert p == before
+    if len(rows) >= 2:
+        lo, hi = sorted(data.draw(st.lists(st.integers(0, last), min_size=2, max_size=2,
+                                           unique=True)))
+        swapped = list(rows)
+        swapped[lo], swapped[hi] = swapped[hi], swapped[lo]
+        cut, full = SearchStats(), SearchStats()
+        assert build_plan(swapped, p, alpha, cut, (lo, hi, plan.placed)) == build_plan(
+            swapped, p, alpha, full)
+        assert hi < cut.rows_scanned <= full.rows_scanned == len(rows)
 
 
 def test_initial_candidates_identical_jobs():
@@ -219,28 +314,23 @@ def test_anneal_budget_is_189():
 
 def test_anneal_earliest_slot_budget(monkeypatch):
     """One seeded annealing cycle makes an exact number of slot scans: one
-    earliest_slot lower bound per job on the base profile, then, in every
-    build, one place call that scans for each job (taking the slot for all but
-    the last). Searched scans are the rows place receives plus any
-    earliest_slot call off the base profile."""
+    earliest_slot lower bound per job on the base profile, then none, since
+    each build scans its rows on its own copy of the steps: every row of the
+    nine candidates, and of a swap's build, the rows up to its cut."""
     base = AvailabilityProfile(8, 10)
     calls = {"bounds": 0, "searched": 0}
-    earliest_slot, place = AvailabilityProfile.earliest_slot, AvailabilityProfile.place
+    earliest_slot = AvailabilityProfile.earliest_slot
 
     def counting(self, *args, **kwargs):
         calls["bounds" if self is base else "searched"] += 1
         return earliest_slot(self, *args, **kwargs)
 
-    def counting_place(self, rows):
-        calls["searched"] += len(rows)
-        return place(self, rows)
-
     monkeypatch.setattr(AvailabilityProfile, "earliest_slot", counting)
-    monkeypatch.setattr(AvailabilityProfile, "place", counting_place)
     stats = SearchStats()
     anneal(heterogeneous_queue(8), base, 50, 2, random.Random(0), stats)
     assert stats.n_builds == 189
-    assert calls == {"bounds": 8, "searched": stats.n_builds * 8}
+    assert calls == {"bounds": 8, "searched": 0}
+    assert stats.rows_scanned == 1452  # of 189 * 8 = 1512
 
 
 def test_lower_bounds_equal_searching_from_now():
@@ -311,6 +401,73 @@ def test_metropolis_rejects_worse_when_draw_is_high():
         for order in initial_candidates(demands(queue, profile, 50))
     )
     assert best.score <= candidate_best
+
+
+def reference_anneal(queue, profile, now, alpha, rng):
+    """anneal as it reads without the planner's shortcuts: every order built on a
+    fresh copy with earliest_slot row by row and scored left to right."""
+    def build(order):
+        work = profile.copy()
+        placed = [work.earliest_slot(row.n_procs, row.bb_total, row.walltime, row.not_before,
+                                     True) for row in order]
+        total = 0.0
+        for row, start in zip(order, placed):
+            total += float(start - row.submit_time) ** alpha
+        return ExecutionPlan(tuple(order), placed, total)
+
+    candidates = [build(order) for order in initial_candidates(demands(queue, profile, now))]
+    best = min(candidates, key=lambda p: p.score)
+    worst = max(candidates, key=lambda p: p.score)
+    if best.score == worst.score:
+        return best
+    temperature = worst.score - best.score
+    current = best
+    n = len(queue)
+    for _ in range(N_COOLING):
+        for _ in range(M_STEPS):
+            i = rng.randrange(n)
+            j = rng.randrange(n - 1)
+            if j >= i:
+                j += 1
+            order = list(current.jobs)
+            order[i], order[j] = order[j], order[i]
+            plan = build(order)
+            if plan.score < best.score:
+                best = current = plan
+            elif plan.score < current.score or rng.random() < math.exp(
+                (current.score - plan.score) / temperature
+            ):
+                current = plan
+        temperature *= COOLING_RATE
+    return best
+
+
+@given(
+    held=st.lists(st.tuples(st.integers(0, 120), st.integers(1, 120), st.integers(0, 6),
+                            st.integers(0, 6)), max_size=8),
+    shapes=st.lists(st.tuples(st.integers(0, 20), st.integers(1, 90),  # submit, walltime,
+                              st.integers(1, 6), st.integers(0, 6)),  # procs, bb
+                    min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), min_size=6, max_size=12),
+    alpha=st.sampled_from([0.5, 1, 2, 2.5, 16]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=250, derandomize=True, deadline=None)
+def test_anneal_is_the_reference_anneal(held, shapes, picks, alpha, seed):
+    """The same rows, starts and score, and the random stream left where it is
+    left: jobs picked from a few shapes are often identical, so swaps often
+    move no start and builds are cut."""
+    profile = AvailabilityProfile(6, 6)
+    for start, duration, procs, bb in held:
+        if profile.has_capacity(procs, bb, start, start + duration):
+            profile.add(start, start + duration, procs, bb)
+    queue = [job(jid, *shapes[pick % len(shapes)]) for jid, pick in enumerate(picks, 1)]
+    rng, reference_rng = random.Random(seed), random.Random(seed)
+    plan = anneal(queue, profile, 20, alpha, rng)
+    reference = reference_anneal(queue, profile, 20, alpha, reference_rng)
+    assert (plan.jobs, plan.placed, plan.score) == (
+        reference.jobs, reference.placed, reference.score)
+    assert rng.getstate() == reference_rng.getstate()
 
 
 def test_metropolis_zero_temperature_limit():

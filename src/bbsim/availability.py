@@ -4,13 +4,17 @@ The profile is a step function of free capacity and no more: callers add and
 remove demand over the interval they know, and free capacity stays between
 zero and the fixed platform totals. Each step stores its free processors and
 bytes, so queries look only at the steps their window covers; a +inf sentinel
-step with the totals ends every scan without a bound check. add, remove and
-earliest_slot with take each scan their window, check it on the way, and hand
-it to one writer, _take. steps hands out copies of the step lists, on which
-planner.build_plan places a whole job order with that scan and _take's writes
-inline: calling _take per job gave back most of its gain, and add and remove
-as one-job builds made every queue policy 8-12% slower. Time is integer
-seconds throughout.
+step with the totals ends every scan without a bound check. Two module
+functions work on the three step lists: find_slot, the slot scan, and
+take_slot, the one writer. add and remove scan their window, check it on the
+way and hand it to take_slot; earliest_slot is find_slot, and with take
+take_slot after it. steps hands out copies of the step lists, and both plan
+searches work on them: planner.exhaustive calls find_slot and take_slot on
+each node's copy, and planner.build_plan places a whole job order with the
+scan and the writes inline: calling the writer per job gave back most of its
+gain, and add and remove as one-job builds made every queue policy 8-12%
+slower. No search copies a profile, so copy is left to the tests and
+benchmarks/tracing.py. Time is integer seconds throughout.
 """
 
 from __future__ import annotations
@@ -33,6 +37,65 @@ class AllocationError(Exception):
 
 def _bad_demand(start: int, end: int) -> ValueError:
     return ValueError(f"empty interval [{start}, {end}) or negative demand")
+
+
+def find_slot(
+    times: list[float], fp: list[int], fb: list[int],
+    n_procs: int, bb_bytes: int, duration: int, not_before: int,
+) -> tuple[int, int, int]:
+    """The slot scan over step lists: (start, i, k) for the smallest start >=
+    not_before with the demand free over all of [start, start + duration),
+    step i holding start and k the first step at or after its end.
+
+    One scan from the step holding not_before: a run of steps short of the
+    demand moves the candidate start to the breakpoint after it, and the last
+    finite step holds the totals, so a demand within them is found.
+    """
+    start, end = not_before, not_before + duration
+    i = k = bisect_right(times, start) - 1
+    while times[k] < end:
+        if fp[k] < n_procs or fb[k] < bb_bytes:
+            k += 1
+            while fp[k] < n_procs or fb[k] < bb_bytes:
+                k += 1
+            i, start = k, times[k]
+            end = start + duration
+        k += 1
+    return start, i, k
+
+
+def take_slot(
+    times: list[float], fp: list[int], fb: list[int],
+    i: int, k: int, start: int, end: int, n_procs: int, bb_bytes: int,
+) -> None:
+    """The one writer of step lists: take the demand from free capacity over
+    [start, end).
+
+    Step i holds start and k is the first step at or after end. The demand
+    is negative to give capacity back and is not zero on both resources,
+    and the caller has shown that every step of the window stays within
+    [0, totals]. An inserted breakpoint splits a step the demand then
+    changes, so only an end found in place can merge: end first, which
+    keeps i valid.
+    """
+    if times[k] != end:
+        times.insert(k, end)
+        fp.insert(k, fp[k - 1])
+        fb.insert(k, fb[k - 1])
+    elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
+        del times[k], fp[k], fb[k]  # step k - 1, once taken from, goes on into step k
+    if times[i] != start:  # start lies inside step i
+        i += 1
+        times.insert(i, start)
+        fp.insert(i, fp[i - 1])
+        fb.insert(i, fb[i - 1])
+        k += 1
+    elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
+        del times[i], fp[i], fb[i]  # step i, once taken from, equals step i - 1
+        k -= 1
+    for m in range(i, k):
+        fp[m] -= n_procs
+        fb[m] -= bb_bytes
 
 
 class AvailabilityProfile:
@@ -68,36 +131,6 @@ class AvailabilityProfile:
 
     # -- changing free capacity --------------------------------------------
 
-    def _take(self, i: int, k: int, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
-        """The one writer: take the demand from free capacity over [start, end).
-
-        Step i holds start and k is the first step at or after end. The demand
-        is negative to give capacity back and is not zero on both resources,
-        and the caller has shown that every step of the window stays within
-        [0, totals]. An inserted breakpoint splits a step the demand then
-        changes, so only an end found in place can merge: end first, which
-        keeps i valid.
-        """
-        times, fp, fb = self._times, self._free_p, self._free_b
-        if times[k] != end:
-            times.insert(k, end)
-            fp.insert(k, fp[k - 1])
-            fb.insert(k, fb[k - 1])
-        elif fp[k - 1] - n_procs == fp[k] and fb[k - 1] - bb_bytes == fb[k]:
-            del times[k], fp[k], fb[k]  # step k - 1, once taken from, goes on into step k
-        if times[i] != start:  # start lies inside step i
-            i += 1
-            times.insert(i, start)
-            fp.insert(i, fp[i - 1])
-            fb.insert(i, fb[i - 1])
-            k += 1
-        elif fp[i] - n_procs == fp[i - 1] and fb[i] - bb_bytes == fb[i - 1]:
-            del times[i], fp[i], fb[i]  # step i, once taken from, equals step i - 1
-            k -= 1
-        for m in range(i, k):
-            fp[m] -= n_procs
-            fb[m] -= bb_bytes
-
     def add(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Take the demand from free capacity over [start, end)."""
         if not (start < end and n_procs >= 0 <= bb_bytes):
@@ -110,7 +143,7 @@ class AvailabilityProfile:
                                     f" capacity over [{start}, {end})")
             k += 1
         if n_procs or bb_bytes:
-            self._take(i, k, start, end, n_procs, bb_bytes)
+            take_slot(times, fp, fb, i, k, start, end, n_procs, bb_bytes)
 
     def remove(self, start: int, end: int, n_procs: int, bb_bytes: int) -> None:
         """Give back demand that add took over [start, end)."""
@@ -125,7 +158,7 @@ class AvailabilityProfile:
                                     f" over [{start}, {end})")
             k += 1
         if n_procs or bb_bytes:
-            self._take(i, k, start, end, -n_procs, -bb_bytes)
+            take_slot(times, fp, fb, i, k, start, end, -n_procs, -bb_bytes)
 
     # -- queries -----------------------------------------------------------
 
@@ -157,12 +190,10 @@ class AvailabilityProfile:
     def earliest_slot(
         self, n_procs: int, bb_bytes: int, duration: int, not_before: int, take: bool = False
     ) -> int:
-        """Smallest t >= not_before with the demand free over all of [t, t+duration).
-
-        One scan from the step holding not_before: a run of steps short of the
-        demand moves the candidate start to the breakpoint after it. With take,
-        the demand is also taken over the window found, where the scan stopped;
-        the same as earliest_slot followed by add.
+        """Smallest t >= not_before with the demand free over all of [t, t+duration),
+        found by find_slot. With take, take_slot also takes the demand over the
+        window found, where the scan stopped: the same as earliest_slot
+        followed by add.
         """
         if not (n_procs <= self.total_procs and bb_bytes <= self.total_bb and duration > 0):
             if n_procs > self.total_procs or bb_bytes > self.total_bb:
@@ -171,23 +202,13 @@ class AvailabilityProfile:
                 )
             raise ValueError("duration must be positive")
         times, fp, fb = self._times, self._free_p, self._free_b
-        start, end = not_before, not_before + duration
-        i = k = bisect_right(times, start) - 1  # i is the step holding start
-        while times[k] < end:
-            if fp[k] < n_procs or fb[k] < bb_bytes:
-                # skip the blocked run; the last finite step holds the totals
-                k += 1
-                while fp[k] < n_procs or fb[k] < bb_bytes:
-                    k += 1
-                i, start = k, times[k]
-                end = start + duration
-            k += 1
+        start, i, k = find_slot(times, fp, fb, n_procs, bb_bytes, duration, not_before)
         if not take:
             return start
         if not n_procs >= 0 <= bb_bytes:
-            raise _bad_demand(start, end)
+            raise _bad_demand(start, start + duration)
         if n_procs or bb_bytes:
-            self._take(i, k, start, end, n_procs, bb_bytes)
+            take_slot(times, fp, fb, i, k, start, start + duration, n_procs, bb_bytes)
         return start
 
 

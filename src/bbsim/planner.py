@@ -1,9 +1,18 @@
 """Plan-based scheduling: permutation plans scored by sum of waiting times^alpha,
 searched exhaustively for small queues or by simulated annealing seeded with
-nine heuristic orderings. The exhaustive search walks the permutation tree
-depth first, so orders that share a prefix place it once. An annealing build
-is one pass over a copy of the profile's steps that finds and takes every
-job's slot in turn and adds its score as it goes.
+nine heuristic orderings. Both work on copies of the profile's step lists.
+An annealing build is one pass that finds and takes every job's slot in turn
+and adds its score as it goes.
+
+The exhaustive search walks the permutation tree depth first, so orders that
+share a prefix place it once, and cuts a node only when no order below it
+scores strictly lower, so its plan is the loop over every permutation's, ties
+included. That rests on three facts: every wait is >= 0 (see demands); a
+profile below a node only gains demand, so no job starts there before its
+slot at the node; and float(wait) ** alpha does not fall as the wait grows
+(float pow is taken to be monotone). Float sums are not exact, so a cut that
+adds terms ahead of time is made only where every sum is exact (see
+exhaustive).
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .availability import AvailabilityProfile
+from .availability import AvailabilityProfile, find_slot, take_slot
 from .policies import CycleResult, SchedulerState, launch
 from .workload import JobSpec
 
@@ -44,12 +53,13 @@ class ExecutionPlan(NamedTuple):
 @dataclass
 class SearchStats:
     """n_builds counts the orders a search considers: q! for an exhaustive
-    search, which places only the prefixes its cut leaves, and 189 for an
+    search, which places only the prefixes its cuts leave, and 189 for an
     annealed one (9 if annealing is skipped)."""
     n_builds: int = 0
     method: str = ""
     annealing_skipped: bool = False
     rows_scanned: int = 0  # rows whose slot annealing builds scanned (to a swap's cut)
+    nodes: int = 0  # nodes of the permutation tree an exhaustive search entered
 
 
 class Demand(NamedTuple):
@@ -68,7 +78,10 @@ def demands(queue: list[JobSpec], profile: AvailabilityProfile, now: int) -> lis
     A build only adds demand to a copy of profile, so no time before a job's
     not_before fits it on the copy either: searching from not_before finds
     the same slot as searching from now. A job submitted after now is refused:
-    its wait could be negative, and exhaustive's cut needs every wait >= 0.
+    its wait could be negative, and exhaustive's cuts need every wait >= 0.
+    Adding a negative term can lower a partial score, and a negative wait to
+    the power alpha is complex or, for an even alpha, falls as the start moves
+    later, so a term at a node would not bound the terms below it.
     """
     slot = profile.earliest_slot
     rows = []
@@ -89,8 +102,8 @@ def build_plan(
     swap: tuple[int, int, list[int]] = (-1, -1, []),
 ) -> ExecutionPlan:
     """Place jobs in order, each at its earliest slot on a copy of the profile's
-    steps, taken before the next (the last only found), with earliest_slot's
-    scan and _take's write inline; add each wait to the power alpha left to
+    steps, taken before the next (the last only found), with find_slot's scan
+    and take_slot's writes inline; add each wait to the power alpha left to
     right from 0.0 (sum() rounds otherwise from 3.12 on).
 
     swap = (lo, hi, starts): jobs is the order planned at starts, rows lo and
@@ -179,45 +192,73 @@ def exhaustive(
 ) -> ExecutionPlan:
     """Minimal-score plan over all |Q|! permutations, searched depth first.
 
-    A node of the permutation tree takes its row's slot on a copy of its
-    parent's profile and adds the row's wait to its parent's partial score,
-    left to right as build_plan does; a leaf only looks up its row's slot.
-    Every wait is >= 0 (see demands), and adding a float >= 0 never makes a
-    float sum smaller, so a node whose partial score is already at least the
-    best complete score has no order below it that scores lower, and is cut.
+    A node of the permutation tree holds its own step lists and a partial
+    score, its placed rows' waits to the power alpha added left to right as
+    build_plan does. It first scans every row it has left on its steps
+    (find_slot), which gives each row's slot there and its term; a leaf stops
+    there. A child copies the steps and takes its row's slot (take_slot) only
+    if it survives two cuts, each exact:
+
+    - the child's partial score is at least the best complete score: every
+      wait is >= 0 (see demands), and adding a float >= 0 never makes a float
+      sum smaller;
+    - the node's partial score plus all of its rows' terms is at least the
+      best, when the partial score and every term are whole numbers whose sum
+      is below 2**53, so that every float sum of them is exact in any order.
+      Below the node the steps only gain demand, so no row starts before its
+      slot at the node, and wait**alpha does not fall as the wait grows, so
+      every order below scores at least that sum. Without the partial score
+      in the check, or with a fraction anywhere, adding the same terms in
+      another order can round lower, and the cut would drop a better plan.
+
     Children follow arrival order, so orders are visited in lexicographic
     order of arrival indices, and a leaf replaces the best only with a
     strictly lower score: ties resolve to the lexicographically smallest
     permutation, the plan the loop over every permutation returns.
     """
+    if stats is None:
+        stats = SearchStats()
+    stats.method = "exhaustive"
     rows = demands(queue, profile, now)
-    if stats is not None:
-        stats.n_builds += math.factorial(len(rows))
-        stats.method = "exhaustive"
+    stats.n_builds += math.factorial(len(rows))
     # scores are finite (see SimConfig.alpha), so the first complete order
     # always replaces this one
     best = ExecutionPlan((), [], math.inf)
 
-    def extend(work, partial: float, rest: tuple[Demand, ...], jobs: tuple, starts: tuple):
-        """Visit the node whose profile is work, which has placed jobs at starts
-        and has rest left to place."""
-        nonlocal best
+    def extend(times, fp, fb, partial: float, rest: tuple[Demand, ...], jobs: tuple,
+               starts: tuple):
+        """Visit the node whose step lists are times, fp and fb, which has placed
+        jobs at starts and has rest left to place."""
+        nonlocal best, nodes
+        nodes += 1
+        slots, terms = [], []
+        for n_procs, bb_bytes, duration, not_before, _, submit_time in rest:
+            slot = find_slot(times, fp, fb, n_procs, bb_bytes, duration, not_before)
+            slots.append(slot)
+            terms.append(float(slot[0] - submit_time) ** alpha)
         if len(rest) == 1:  # a leaf
-            (row,) = rest
-            start = work.earliest_slot(row.n_procs, row.bb_total, row.walltime, row.not_before)
-            total = partial + float(start - row.submit_time) ** alpha
+            total = partial + terms[0]
             if total < best.score:
-                best = ExecutionPlan((*jobs, row), [*starts, start], total)
+                best = ExecutionPlan((*jobs, *rest), [*starts, slots[0][0]], total)
             return
+        # fsum rounds once, so over whole numbers bound < 2**53 only if the exact sum is
+        bound = partial + math.fsum(terms)
+        if (bound >= best.score and bound < 2**53 and partial.is_integer()
+                and all(map(float.is_integer, terms))):
+            return  # no order below scores lower
         for k, row in enumerate(rest):
-            child = work.copy()
-            start = child.earliest_slot(row.n_procs, row.bb_total, row.walltime,
-                                        row.not_before, True)
-            total = partial + float(start - row.submit_time) ** alpha
+            total = partial + terms[k]
             if total < best.score:  # else no order below child scores lower
-                extend(child, total, rest[:k] + rest[k + 1:], (*jobs, row), (*starts, start))
+                start, i, j = slots[k]
+                n_procs, bb_bytes, duration = row[:3]
+                child = times[:], fp[:], fb[:]
+                if n_procs or bb_bytes:
+                    take_slot(*child, i, j, start, start + duration, n_procs, bb_bytes)
+                extend(*child, total, rest[:k] + rest[k + 1:], (*jobs, row), (*starts, start))
 
-    extend(profile, 0.0, tuple(rows), (), ())
+    nodes = 0
+    extend(*profile.steps(), 0.0, tuple(rows), (), ())
+    stats.nodes += nodes
     assert best.jobs, "empty queue"
     return best
 

@@ -9,6 +9,7 @@ walltime and deletes its id; EASY's head reservation lives for one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .availability import AvailabilityProfile
 from .workload import JobSpec
@@ -81,7 +82,7 @@ def backfill_pass(state: SchedulerState, candidates: list[JobSpec]) -> list[JobS
 
 
 def sjf_sorted(jobs: list[JobSpec]) -> list[JobSpec]:
-    return sorted(jobs, key=lambda j: (j.walltime, j.submit_time, j.id))
+    return sorted(jobs, key=attrgetter("walltime", "submit_time", "id"))
 
 
 def easy_schedule(

@@ -15,11 +15,13 @@ that finished first. A phase end never finds its job killed.
 The profile's window checks are pinned the same way: a backfill pass asks
 has_capacity only about candidates within the free capacity at now, and the
 queue drops a launched job by its id, so no run compares two jobs. So is the
-plan search's work: its annealing builds, its earliest_slot calls and the
-rows its builds scan. The exhaustive search places each order prefix once and
-cuts a prefix that cannot win, and a swap's build stops once the swap has
-moved no start, so a change to what either places or cuts moves these pins,
-and says so.
+plan search's work: its annealing builds, its earliest_slot calls (the
+per-search lower bounds alone), the rows its builds scan and the nodes its
+exhaustive searches enter. The exhaustive search places each order prefix
+once and cuts a prefix that cannot win, by its partial score or by a
+lookahead bound over every job it has left, and a swap's build stops once the
+swap has moved no start, so a change to what either places or cuts moves
+these pins, and says so.
 
 Event times count whole units of 1/lcm(link bandwidths) s, so the only
 times that are not ints are link completions shared by transfers; their
@@ -231,17 +233,22 @@ def test_capacity_checks_and_no_job_comparisons(workload, policy, monkeypatch):
     assert calls == {"has_capacity": HAS_CAPACITY[workload][policy], "__eq__": 0}
 
 
-# (build_plan builds, earliest_slot calls, rows scanned, add calls) of each
-# plan run. Only anneal calls build_plan; each build scans the rows of its job
-# order on its own copy of the profile's steps, all of them or, in a swap's
-# build, those up to its cut, and SearchStats.rows_scanned adds them up.
-# earliest_slot finds each search's per-job lower bounds and each node of
-# exhaustive's permutation tree that the cut leaves: with take at an inner
-# node, without at a leaf. add only launches jobs, once per job of the run.
+# (build_plan builds, earliest_slot calls, rows scanned, add calls, exhaustive
+# nodes) of each plan run. Only anneal calls build_plan; each build scans the
+# rows of its job order on its own copy of the profile's steps, all of them
+# or, in a swap's build, those up to its cut, and SearchStats.rows_scanned
+# adds them up. earliest_slot only finds each search's per-job lower bounds
+# (demands): exhaustive scans on its own step lists. Its nodes are those of
+# the permutation tree it enters, root and leaves included, and
+# SearchStats.nodes adds them up: a child that its parent's partial score cuts
+# is not entered, and a node that its lookahead bound cuts is entered but
+# nothing below it. A lookahead bound that is weaker, say one taken from each
+# job's not_before instead of its slot at the node, moves the nodes. add only
+# launches jobs, once per job of the run.
 PLAN_WORK = {
-    "backfill-pressure": (2835, 1468, 19620, 60),
-    "io-lifecycle": (18, 1123, 108, 60),
-    "plan-anneal": (13608, 3693, 121479, 120),
+    "backfill-pressure": (2835, 213, 19620, 60, 364),
+    "io-lifecycle": (18, 133, 108, 60, 227),
+    "plan-anneal": (13608, 895, 121479, 120, 887),
 }
 
 
@@ -255,7 +262,8 @@ def test_plan_search_work(workload, monkeypatch):
                             counting(calls, name, getattr(AvailabilityProfile, name)))
     sim = run(workload, "plan")
     rows_scanned = sum(stats.rows_scanned for stats in sim.plan_stats)
-    assert (calls["build_plan"], calls["earliest_slot"], rows_scanned, calls["add"]) == \
+    nodes = sum(stats.nodes for stats in sim.plan_stats)
+    assert (calls["build_plan"], calls["earliest_slot"], rows_scanned, calls["add"], nodes) == \
         PLAN_WORK[workload]
     assert calls["add"] == len(inputs(workload)[1]["plan"])
 

@@ -3,7 +3,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bbsim.availability import AvailabilityProfile
@@ -51,12 +51,18 @@ def random_queue(rng, n, now=0, procs=8, max_bb=10):
     ]
 
 
+def all_fit(waits):
+    """Jobs that all fit at once, job k having waited waits[k - 1], their
+    profile and now: every job starts now in every order."""
+    now = max(waits)
+    return [job(k, submit=now - w) for k, w in enumerate(waits, 1)], \
+        AvailabilityProfile(len(waits), 0), now
+
+
 def waits_plan(waits, alpha):
     """The plan, in arrival order, of jobs that all start now, job k having
     waited waits[k - 1]."""
-    now = max(waits)
-    queue = [job(k, submit=now - w) for k, w in enumerate(waits, 1)]
-    profile = AvailabilityProfile(len(waits), 0)
+    queue, profile, now = all_fit(waits)
     plan = build_plan(demands(queue, profile, now), profile, alpha)
     assert plan.placed == [now] * len(waits)
     return plan
@@ -267,6 +273,13 @@ def permutation_loop(queue, profile, now, alpha):
     return best
 
 
+# near ties that the lookahead cut gets wrong without its guards: a sum cut
+# on terms that are not whole numbers (alpha 0.5), and one that bounds the
+# terms' sum by 2**53 but not the partial score's (alpha 16)
+@example(held=[(52, 28, 1, 1), (38, 43, 2, 2)], shapes=[(13, 30, 2, 1), (10, 10, 1, 1)],
+         picks=[1, 1, 2, 0], alpha=0.5)
+@example(held=[], shapes=[(9, 30, 2, 0), (11, 10, 1, 0), (20, 30, 4, 3)],
+         picks=[1, 2, 2, 0, 1], alpha=16)
 @given(
     held=st.lists(st.tuples(st.integers(0, 60), st.integers(1, 60), st.integers(0, 4),
                             st.integers(0, 3)), max_size=6),
@@ -291,8 +304,45 @@ def test_exhaustive_is_the_permutation_loop(held, shapes, picks, alpha):
         reference.jobs, reference.placed, reference.score)
 
 
+TIED_WAITS = [22, 18, 5, 5, 45]
+
+
+def test_exhaustive_cuts_every_order_that_ties_the_first():
+    """Under alpha 2 every order scores the same whole number, so the first
+    order, arrival order, is the plan: its path (5 nodes) and the leaf that
+    ties it are entered, then 2, 3 and 4 nodes at depths 3, 2 and 1, each cut
+    by its lookahead bound. A cut on > instead of >=, or no lookahead cut,
+    enters more nodes; a leaf that replaces the best on an equal score
+    returns (1, 2, 3, 5, 4)."""
+    stats = SearchStats()
+    plan = exhaustive(*all_fit(TIED_WAITS), 2, stats)
+    assert plan.permutation == (1, 2, 3, 4, 5)
+    assert plan.score == sum(w**2 for w in TIED_WAITS)
+    assert stats.nodes == 15
+
+
+@pytest.mark.parametrize("waits, alpha", [
+    (TIED_WAITS, 2.5), (TIED_WAITS, 16), ([2401, 40804, 12659, 85849, 3364], 1.5)])
+def test_exhaustive_ties_and_rounding_as_the_permutation_loop(waits, alpha):
+    """Under alpha 2.5 the terms are not whole numbers, so only the per-child
+    cut runs and tied orders (jobs 3 and 4 swapped) reach their leaves: a
+    leaf that replaces the best on an equal score fails here. Under alpha 16
+    the terms are whole numbers but their sum is above 2**53, so float sums
+    round by order: a lookahead cut without the 2**53 bound, or with it on
+    the terms alone, fails here. Under alpha 1.5 job 3's term is not a whole
+    number and the others' are (their waits are squares), so a node below
+    job 3 has whole terms left but a partial score that is not whole, and
+    adding them to it rounds by order: a lookahead cut that does not check
+    the partial score fails here."""
+    queue, profile, now = all_fit(waits)
+    plan = exhaustive(queue, profile, now, alpha)
+    reference = permutation_loop(queue, profile, now, alpha)
+    assert (plan.jobs, plan.placed, plan.score) == (
+        reference.jobs, reference.placed, reference.score)
+
+
 def test_demands_refuses_a_job_submitted_after_now():
-    """Refusing it keeps every wait >= 0, which the exhaustive search's cut needs."""
+    """Refusing it keeps every wait >= 0, which the exhaustive search's cuts need."""
     queue = [job(1, submit=30), job(2, submit=31)]
     with pytest.raises(ValueError, match=r"^job 2 is submitted at 31, after now \(30\)$"):
         demands(queue, AvailabilityProfile(4, 0), 30)

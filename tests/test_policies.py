@@ -197,10 +197,15 @@ def test_easy_guarantee_check_fires(monkeypatch):
 
 
 def test_sjf_sort_is_stable_and_total():
+    """Walltime, then submit time, then id: jobs 4 and 5 tie on walltime and
+    their ids run against their submit order, so a key without submit_time
+    puts 4 first."""
     a = job(1, submit=0, walltime=60)
     b = job(2, submit=0, walltime=60)
     c = job(3, submit=10, walltime=30)
-    assert [j.id for j in sjf_sorted([a, b, c])] == [3, 1, 2]
+    d = job(4, submit=20, walltime=90)
+    e = job(5, submit=15, walltime=90)
+    assert [j.id for j in sjf_sorted([d, a, e, b, c])] == [3, 1, 2, 5, 4]
 
 
 def test_sjf_head_requeued_at_front():
